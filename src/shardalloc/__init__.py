@@ -18,7 +18,8 @@ from .model import (Allocation, EngagementProfile, GenerationMeta,
 from .bounds import (MonteCarloResult, Pr51Summary, ShardColumn,
                      ShardSafetyReport, adversary_expected_score,
                      allocation_pr51, attack_bound, deviation_t, is_shard_safe,
-                     monte_carlo_attack_probability, pr51_summary)
+                     monte_carlo_attack_probability, pr51_summary,
+                     safety_holds, shard_stats)
 from .lagrangian import (FeasibilityReport, LinearSystem, P3Result,
                          StationarityVariant, assemble_system,
                          check_feasibility, margin_objective,

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvariantViolation
-from .bounds import allocation_pr51
+from .bounds import allocation_pr51, safety_holds
 from .lagrangian import check_feasibility
 from .model import Allocation, ProblemInstance
 from .optimizer import throughput
@@ -103,12 +103,20 @@ def random_restart_feasibility(instance: ProblemInstance, sigma: int,
                                budget: int = DEFAULT_RESTART_BUDGET,
                                seed: int = 0) -> Allocation | None:
     """First sampled allocation that passes the feasibility check, if any."""
+    return _restart_search(instance, sigma, tau, budget, seed)[0]
+
+
+def _restart_search(instance: ProblemInstance, sigma: int, tau: float | None,
+                    budget: int, seed: int) -> tuple[Allocation | None, int]:
+    """First feasible sample, if any, and the number of samples drawn."""
     if budget < 1:
         raise InvariantViolation("budget must be >= 1")
+    drawn = 0
     for alloc in _dirichlet_allocations(instance, sigma, budget, seed):
+        drawn += 1
         if check_feasibility(alloc, tau).feasible:
-            return alloc
-    return None
+            return alloc, drawn
+    return None, drawn
 
 
 def random_restart_best(instance: ProblemInstance, sigma: int,
@@ -159,14 +167,13 @@ def _grid_scan(instance: ProblemInstance, sigma: int, tau: float,
                grid_steps: int) -> Iterator[tuple[np.ndarray, float]]:
     """Yield (table, worst-shard risk proxy) for feasible all-active grid points.
 
-    Feasibility is margin^2 >= -0.5*ln(tau)*sum_sq per shard, with every shard
-    holding positive mass. Candidates stream in lexicographic order of the
-    per-user composition indices.
+    Feasibility is :func:`safety_holds` per shard, with every shard holding
+    positive mass. Candidates stream in lexicographic order of the per-user
+    composition indices.
     """
     n = instance.n
     eta = instance.eta
     a_vec = 0.5 - instance.p_adv_array
-    c = -0.5 * math.log(tau)
     comps = _compositions(grid_steps, sigma)
     frac = comps / grid_steps  # (K, sigma)
     k = frac.shape[0]
@@ -187,7 +194,7 @@ def _grid_scan(instance: ProblemInstance, sigma: int, tau: float,
                  np.zeros(sigma))
         t_all = t0 + t_tail
         q_all = q0 + q_tail
-        ok = ((t_all * t_all >= c * q_all) & (q_all > 0)).all(axis=1)
+        ok = (safety_holds(t_all, q_all, tau) & (q_all > 0)).all(axis=1)
         for flat in np.flatnonzero(ok):
             digits = []
             rem = int(flat)
@@ -197,6 +204,9 @@ def _grid_scan(instance: ProblemInstance, sigma: int, tau: float,
             digits.reverse()
             combo = list(prefix) + digits
             table = np.stack([eta[j] * frac[combo[j]] for j in range(n)], axis=1)
+            # Only a ranking key, kept on the summed arrays: the reported pr51
+            # is recomputed by shard_stats on the witness, and other low bits
+            # here could reorder near-ties and so change the witness.
             risk = float(np.max(np.exp(-2.0 * t_all[flat] ** 2 / q_all[flat])))
             yield table, risk
 
@@ -267,9 +277,9 @@ def run_baseline(instance: ProblemInstance, method: BaselineMethod,
         elif method is BaselineMethod.GREEDY:
             candidate = greedy_round_robin(instance, sigma)
         else:
-            candidate = random_restart_feasibility(instance, sigma, tau_eff,
-                                                   budget, seed + sigma)
-            samples += budget
+            candidate, drawn = _restart_search(instance, sigma, tau_eff, budget,
+                                               seed + sigma)
+            samples += drawn
         if candidate is not None and check_feasibility(candidate, tau_eff).feasible:
             return BaselineResult(method=method, sigma_star=sigma,
                                   allocation=candidate,

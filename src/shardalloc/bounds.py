@@ -77,26 +77,50 @@ def deviation_t(col: ShardColumn) -> float:
     return float((0.5 - col.p_adv) @ col.scores)
 
 
-def sum_of_squares(col: ShardColumn) -> float:
-    return float(col.scores @ col.scores)
+def shard_stats(table: np.ndarray, p_adv: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Margin t, sum of squares q, bound and activity of each row of a sigma x N table.
+
+    A shard is active when it holds any positive score; it is measured on its
+    non-negative mass. An inactive shard reads t = 0, q = 0, bound = 1. Rows
+    are copied and reduced one at a time with ``ddot`` and ``math.exp``: a
+    matvec, ``einsum`` or ``np.exp`` changes low bits of the reported risks.
+    """
+    a_vec = 0.5 - p_adv
+    active = (table > 0).any(axis=1)
+    t, q, bound = np.zeros(len(table)), np.zeros(len(table)), np.ones(len(table))
+    for s in np.flatnonzero(active):
+        row = np.maximum(table[s], 0.0)
+        t_s, q_s = float(a_vec @ row), float(row @ row)
+        if q_s == 0.0:
+            raise DegenerateShardError(f"shard {s} carries no score")
+        t[s], q[s], bound[s] = t_s, q_s, min(1.0, math.exp(-2.0 * t_s * t_s / q_s))
+    return t, q, bound, active
+
+
+def safety_holds(t, q, tau: float):
+    """t^2 >= -0.5*ln(tau)*q, the algebraic form of "bound <= tau", on floats
+    or elementwise on arrays."""
+    if not (0.0 < tau < 1.0):
+        raise InvariantViolation(f"tau={tau!r} outside (0, 1)")
+    return t * t >= -0.5 * math.log(tau) * q
+
+
+def _column_stats(col: ShardColumn) -> tuple[float, float, float]:
+    t, q, bound, active = shard_stats(col.scores[None, :], col.p_adv)
+    if not active[0]:
+        raise DegenerateShardError(f"shard {col.index} carries no score")
+    return float(t[0]), float(q[0]), float(bound[0])
 
 
 def attack_bound(col: ShardColumn) -> float:
     """Exponential tail bound on the shard-majority event, clamped to <= 1."""
-    ss = sum_of_squares(col)
-    if ss == 0.0:
-        raise DegenerateShardError(f"shard {col.index} carries no score")
-    t = deviation_t(col)
-    return min(1.0, math.exp(-2.0 * t * t / ss))
+    return _column_stats(col)[2]
 
 
 @dataclass(frozen=True)
 class ShardSafetyReport:
-    """Safety verdict for one shard column.
-
-    ``safe`` evaluates t^2 >= -0.5*ln(tau)*sum_sq, the algebraic form of
-    "bound <= tau"; for columns with sum_sq > 0 the two agree.
-    """
+    """Safety verdict for one shard column: ``safe`` is :func:`safety_holds`."""
 
     shard_index: int
     t: float
@@ -106,25 +130,9 @@ class ShardSafetyReport:
 
 
 def is_shard_safe(col: ShardColumn, tau: float) -> ShardSafetyReport:
-    if not (0.0 < tau < 1.0):
-        raise InvariantViolation(f"tau={tau!r} outside (0, 1)")
-    ss = sum_of_squares(col)
-    if ss == 0.0:
-        raise DegenerateShardError(f"shard {col.index} carries no score")
-    t = deviation_t(col)
-    safe = t * t >= -0.5 * math.log(tau) * ss
-    return ShardSafetyReport(shard_index=col.index, t=t, sum_sq=ss,
-                             bound=min(1.0, math.exp(-2.0 * t * t / ss)),
-                             safe=bool(safe))
-
-
-def _active_columns(alloc: Allocation) -> list[ShardColumn]:
-    # Sign violations are the feasibility checker's verdict; risk is always
-    # computable on the non-negative mass.
-    active = alloc.active_shards()
-    return [ShardColumn(scores=np.maximum(alloc.table[s], 0.0),
-                        p_adv=alloc.instance.p_adv_array, index=s)
-            for s in range(alloc.sigma) if active[s]]
+    t, q, bound = _column_stats(col)
+    return ShardSafetyReport(shard_index=col.index, t=t, sum_sq=q, bound=bound,
+                             safe=bool(safety_holds(t, q, tau)))
 
 
 def pr51_of_columns(cols: list[ShardColumn]) -> float:
@@ -134,9 +142,16 @@ def pr51_of_columns(cols: list[ShardColumn]) -> float:
     return max(attack_bound(c) for c in cols)
 
 
+def _active_bounds(alloc: Allocation) -> np.ndarray:
+    _, _, bound, active = shard_stats(alloc.table, alloc.instance.p_adv_array)
+    if not active.any():
+        raise DegenerateShardError("no active shard to evaluate")
+    return bound[active]
+
+
 def allocation_pr51(alloc: Allocation) -> float:
     """Network-level risk of an allocation: the worst active shard's bound."""
-    return pr51_of_columns(_active_columns(alloc))
+    return float(_active_bounds(alloc).max())
 
 
 @dataclass(frozen=True)
@@ -147,10 +162,8 @@ class Pr51Summary:
 
 
 def pr51_summary(alloc: Allocation) -> Pr51Summary:
-    bounds = [attack_bound(c) for c in _active_columns(alloc)]
-    if not bounds:
-        raise DegenerateShardError("no active shard to evaluate")
-    return Pr51Summary(worst=max(bounds), best=min(bounds),
+    bounds = _active_bounds(alloc)
+    return Pr51Summary(worst=float(bounds.max()), best=float(bounds.min()),
                        mean=float(np.mean(bounds)))
 
 

@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise InvariantViolation(
                 f"unknown experiment_id {self.experiment_id!r}; "
                 f"expected one of {EXPERIMENT_IDS}")
+        if "," in self.label or "".join(self.label.splitlines()) != self.label:
+            # The result CSV is written unquoted and read back line by line.
+            raise InvariantViolation(
+                f"label {self.label!r} must not contain a comma or a line break")
         if not self.methods:
             raise InvariantViolation("method list must be non-empty")
         for m in self.methods:
@@ -267,18 +271,36 @@ def _method_allocation(instance: ProblemInstance, method: str, sigma: int,
     raise InvariantViolation(f"unknown method {method!r}")
 
 
+def _status_row(config: ExperimentConfig, label: str, method: str, sigma: int,
+                status: str) -> ResultRow:
+    """A row that carries only a status: no risk, throughput, time or solves."""
+    return ResultRow(config.experiment_id, label, method, sigma, None, None,
+                     None, None, status)
+
+
+def _guarded(config: ExperimentConfig, label: str, method: str, sigma: int,
+             build: Callable[[], ResultRow]) -> ResultRow:
+    """``build()``, with a too-large or failed computation as its status row."""
+    try:
+        return build()
+    except InstanceTooLargeError:
+        return _status_row(config, label, method, sigma, "too_large")
+    except ShardAllocError:
+        return _status_row(config, label, method, sigma, "error")
+
+
 def _per_sigma_row(instance: ProblemInstance, method: str, sigma: int,
                    config: ExperimentConfig, label: str,
                    output_dir: Path) -> ResultRow:
+    return _guarded(config, label, method, sigma, lambda: _allocation_row(
+        instance, method, sigma, config, label, output_dir))
+
+
+def _allocation_row(instance: ProblemInstance, method: str, sigma: int,
+                    config: ExperimentConfig, label: str,
+                    output_dir: Path) -> ResultRow:
     start = time.perf_counter()
-    try:
-        alloc = _method_allocation(instance, method, sigma, config)
-    except InstanceTooLargeError:
-        return ResultRow(config.experiment_id, label, method, sigma, None, None,
-                         None, None, "too_large")
-    except ShardAllocError:
-        return ResultRow(config.experiment_id, label, method, sigma, None, None,
-                         None, None, "error")
+    alloc = _method_allocation(instance, method, sigma, config)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     pr51 = allocation_pr51(alloc)
     feasible = check_feasibility(alloc).feasible
@@ -308,32 +330,31 @@ def run_pr51_vs_shards(config: ExperimentConfig, output_dir: str | Path) -> list
 def _optimizer_row(instance: ProblemInstance, method: str, config: ExperimentConfig,
                    label: str, output_dir: Path, sigma_hint: int | None = None,
                    save_alloc: bool = True) -> ResultRow:
+    return _guarded(config, label, method, sigma_hint or 0, lambda: _search_row(
+        instance, method, config, label, output_dir, save_alloc))
+
+
+def _search_row(instance: ProblemInstance, method: str, config: ExperimentConfig,
+                label: str, output_dir: Path, save_alloc: bool) -> ResultRow:
     start = time.perf_counter()
-    try:
-        if method in (METHOD_LGRN_REDERIVED, METHOD_LGRN_LITERAL):
-            variant = (StationarityVariant.REDERIVED
-                       if method == METHOD_LGRN_REDERIVED
-                       else StationarityVariant.LITERAL)
-            sol = optimize_sharding(instance, variant, SearchMode.BINARY)
-            status = sol.status.value
-            sigma_star, alloc, pr51 = sol.sigma_star, sol.allocation, sol.pr51
-            solves = sol.solves_performed
-            tput = sol.throughput
-        else:
-            base = run_baseline(
-                instance, BaselineMethod(method), budget=config.restart_budget,
-                grid_steps=config.grid_steps,
-                seed=_restart_seed(config.rng_seed, method, 0))
-            sigma_star, alloc, pr51 = base.sigma_star, base.allocation, base.pr51
-            status = {0: "unsafe", 1: "unsharded_safe"}.get(sigma_star, "sharded")
-            solves = None
-            tput = base.throughput
-    except InstanceTooLargeError:
-        return ResultRow(config.experiment_id, label, method,
-                         sigma_hint or 0, None, None, None, None, "too_large")
-    except ShardAllocError:
-        return ResultRow(config.experiment_id, label, method,
-                         sigma_hint or 0, None, None, None, None, "error")
+    if method in (METHOD_LGRN_REDERIVED, METHOD_LGRN_LITERAL):
+        variant = (StationarityVariant.REDERIVED
+                   if method == METHOD_LGRN_REDERIVED
+                   else StationarityVariant.LITERAL)
+        sol = optimize_sharding(instance, variant, SearchMode.BINARY)
+        status = sol.status.value
+        sigma_star, alloc, pr51 = sol.sigma_star, sol.allocation, sol.pr51
+        solves = sol.solves_performed
+        tput = sol.throughput
+    else:
+        base = run_baseline(
+            instance, BaselineMethod(method), budget=config.restart_budget,
+            grid_steps=config.grid_steps,
+            seed=_restart_seed(config.rng_seed, method, 0))
+        sigma_star, alloc, pr51 = base.sigma_star, base.allocation, base.pr51
+        status = {0: "unsafe", 1: "unsharded_safe"}.get(sigma_star, "sharded")
+        solves = None
+        tput = base.throughput
     elapsed_ms = (time.perf_counter() - start) * 1e3
     if save_alloc and alloc is not None:
         path = _alloc_path(output_dir, config.experiment_id, label, method,
@@ -371,27 +392,12 @@ def run_adv_prob_sweep(config: ExperimentConfig,
     out.mkdir(parents=True, exist_ok=True)
     base = _load_base_instance(config)
 
-    def job(item: tuple[float, str]) -> ResultRow:
-        scale, method = item
-        label = f"{config.label}@{scale:g}%"
-        scaled_p = [p * scale / 100.0 for p in base.p_adv]
-        if any(p >= 0.5 for p in scaled_p):
-            return ResultRow(config.experiment_id, label, method, base.s_max,
-                             None, None, None, None, "domain_exceeded")
-        instance = base.with_p_adv(scaled_p)
-        _store_instance(instance, out, label)
+    def scaled_row(instance: ProblemInstance, label: str, method: str) -> ResultRow:
         start = time.perf_counter()
-        try:
-            alloc = _method_allocation(instance, method, base.s_max, config)
-            pr51 = allocation_pr51(alloc)
-            opt_row = _optimizer_row(instance, method, config, label, out,
-                                     sigma_hint=base.s_max, save_alloc=False)
-        except InstanceTooLargeError:
-            return ResultRow(config.experiment_id, label, method, base.s_max,
-                             None, None, None, None, "too_large")
-        except ShardAllocError:
-            return ResultRow(config.experiment_id, label, method, base.s_max,
-                             None, None, None, None, "error")
+        alloc = _method_allocation(instance, method, base.s_max, config)
+        pr51 = allocation_pr51(alloc)
+        opt_row = _optimizer_row(instance, method, config, label, out,
+                                 sigma_hint=base.s_max, save_alloc=False)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         path = _alloc_path(out, config.experiment_id, label, method, base.s_max)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -400,6 +406,17 @@ def run_adv_prob_sweep(config: ExperimentConfig,
                          opt_row.throughput_tx_s,
                          elapsed_ms if config.record_wall_time else None,
                          opt_row.solves, opt_row.status)
+
+    def job(item: tuple[float, str]) -> ResultRow:
+        scale, method = item
+        label = f"{config.label}@{scale:g}%"
+        scaled_p = [p * scale / 100.0 for p in base.p_adv]
+        if any(p >= 0.5 for p in scaled_p):
+            return _status_row(config, label, method, base.s_max, "domain_exceeded")
+        instance = base.with_p_adv(scaled_p)
+        _store_instance(instance, out, label)
+        return _guarded(config, label, method, base.s_max,
+                        lambda: scaled_row(instance, label, method))
 
     jobs = [(scale, method) for scale in config.scale_percents
             for method in config.methods]
@@ -425,9 +442,8 @@ def run_mean_std_sweep(config: ExperimentConfig,
         try:
             instance = generate_instance(gen_cfg)
         except GenerationFailure:
-            return [ResultRow(config.experiment_id, label, method,
-                              config.gen.s_max, None, None, None, None,
-                              "generation_failure")
+            return [_status_row(config, label, method, config.gen.s_max,
+                                "generation_failure")
                     for method in config.methods]
         _store_instance(instance, out, label)
         stats = instance_stats(instance)
@@ -465,33 +481,55 @@ def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> Path:
 
 
 def revalidate_results(output_dir: str | Path) -> list[str]:
-    """Recompute every stored risk number from its allocation artifact.
+    """Recompute every stored risk number from its instance and allocation files.
 
-    Returns a list of human-readable mismatch descriptions (empty = clean).
+    A row whose allocation file is missing is a problem unless its status is
+    ``unsafe``: the search stores no allocation then, and the reported risk is
+    the single-shard bound of the instance. A missing instance file, a
+    malformed row and a directory without any result CSV are always
+    problems. Returns human-readable problem descriptions (empty = clean).
     """
     out = Path(output_dir)
     problems: list[str] = []
+    result_files = 0
     for csv_path in sorted(out.glob("*.csv")):
         lines = csv_path.read_text().splitlines()
         if not lines or lines[0] != ",".join(CSV_HEADER):
             continue
+        result_files += 1
         for line in lines[1:]:
-            parts = line.split(",")
-            experiment_id, label, method, sigma_s, pr51_s = parts[:5]
-            if pr51_s == "":
-                continue
-            alloc_path = _alloc_path(out, experiment_id, label, method,
-                                     int(sigma_s))
-            inst_path = out / f"instance__{_safe_label(label)}.json"
-            if not alloc_path.exists() or not inst_path.exists():
-                continue
-            instance = load_instance(inst_path)
-            alloc = load_allocation_csv(alloc_path, instance)
-            recomputed = allocation_pr51(alloc)
-            reported = float(pr51_s)
-            denom = max(abs(reported), 1e-300)
-            if abs(recomputed - reported) / denom > PR51_REVALIDATION_RTOL:
-                problems.append(
-                    f"{csv_path.name}: {label}/{method}/sigma={sigma_s} "
-                    f"pr51 {reported!r} != recomputed {recomputed!r}")
+            problem = _revalidate_row(out, line.split(","))
+            if problem is not None:
+                problems.append(f"{csv_path.name}: {problem}")
+    if result_files == 0:
+        problems.append(f"no experiment result CSV in {out}")
     return problems
+
+
+def _revalidate_row(out: Path, parts: list[str]) -> str | None:
+    if len(parts) != len(CSV_HEADER):
+        return f"row with {len(parts)} fields, expected {len(CSV_HEADER)}: {parts!r}"
+    experiment_id, label, method, sigma_s, pr51_s = parts[:5]
+    status = parts[-1]
+    if pr51_s == "":
+        return None
+    where = f"{label}/{method}/sigma={sigma_s}"
+    try:
+        sigma, reported = int(sigma_s), float(pr51_s)
+    except ValueError:
+        return f"{where}: unreadable sigma or pr51"
+    inst_path = out / f"instance__{_safe_label(label)}.json"
+    if not inst_path.exists():
+        return f"{where}: instance file {inst_path.name} missing"
+    instance = load_instance(inst_path)
+    alloc_path = _alloc_path(out, experiment_id, label, method, sigma)
+    if alloc_path.exists():
+        recomputed = allocation_pr51(load_allocation_csv(alloc_path, instance))
+    elif status == "unsafe":
+        recomputed = allocation_pr51(uniform_split(instance, 1))
+    else:
+        return f"{where}: allocation file {alloc_path.name} missing"
+    denom = max(abs(reported), 1e-300)
+    if not abs(recomputed - reported) / denom <= PR51_REVALIDATION_RTOL:
+        return f"{where} pr51 {reported!r} != recomputed {recomputed!r}"
+    return None

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvariantViolation, NumericalFailure
-from .bounds import ShardColumn, ShardSafetyReport, is_shard_safe
+from .bounds import ShardSafetyReport, safety_holds, shard_stats
 from .model import Allocation, CONSERVATION_RTOL, ProblemInstance
 
 # Accepted solves must satisfy ||A x - b||_inf <= RESIDUAL_RTOL * (1 + ||b||_inf).
@@ -227,28 +227,15 @@ def check_feasibility(alloc: Allocation, tau: float | None = None) -> Feasibilit
     """Allocation is feasible iff every active shard is safe, no entry is
     negative beyond tolerance, and per-user conservation holds."""
     tau_eff = alloc.instance.tau if tau is None else float(tau)
-    if not (0.0 < tau_eff < 1.0):
-        raise InvariantViolation(f"tau={tau_eff!r} outside (0, 1)")
     sign_ok = alloc.sign_ok
     cons_err = alloc.max_conservation_error()
     conservation_ok = cons_err <= CONSERVATION_RTOL
-    active = alloc.active_shards()
-    reports: list[ShardSafetyReport] = []
-    all_safe = True
-    for s in range(alloc.sigma):
-        if not active[s]:
-            reports.append(ShardSafetyReport(shard_index=s, t=0.0, sum_sq=0.0,
-                                             bound=1.0, safe=True))
-            continue
-        # Negative entries already fail via sign_ok; clamp them so the bound
-        # of the remaining mass can still be reported.
-        column = ShardColumn(scores=np.maximum(alloc.table[s], 0.0),
-                             p_adv=alloc.instance.p_adv_array, index=s)
-        rep = is_shard_safe(column, tau_eff)
-        reports.append(rep)
-        all_safe = all_safe and rep.safe
-    return FeasibilityReport(feasible=bool(all_safe and sign_ok and conservation_ok),
-                             per_shard=tuple(reports), sign_ok=sign_ok,
+    t, q, bound, _ = shard_stats(alloc.table, alloc.instance.p_adv_array)
+    safe = safety_holds(t, q, tau_eff)
+    reports = tuple(ShardSafetyReport(*fields) for fields in zip(
+        range(alloc.sigma), t.tolist(), q.tolist(), bound.tolist(), safe.tolist()))
+    return FeasibilityReport(feasible=bool(safe.all() and sign_ok and conservation_ok),
+                             per_shard=reports, sign_ok=sign_ok,
                              conservation_ok=conservation_ok,
                              max_conservation_error=cons_err)
 

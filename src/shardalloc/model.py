@@ -384,8 +384,15 @@ def save_allocation_csv(alloc: Allocation, path: str | Path) -> None:
 
 
 def load_allocation_csv(path: str | Path, instance: ProblemInstance) -> Allocation:
+    """Read a table written by :func:`save_allocation_csv`.
+
+    The file must hold every (shard, mu_id) pair for shards 0..max exactly
+    once, with mu_ids of ``instance``; anything else is ``MalformedFileError``.
+    """
     col_of = {mu_id: n for n, mu_id in enumerate(instance.mu_ids)}
-    rows: list[tuple[int, int, float]] = []
+    shards: list[int] = []
+    cols: list[int] = []
+    scores: list[float] = []
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -393,15 +400,35 @@ def load_allocation_csv(path: str | Path, instance: ProblemInstance) -> Allocati
             if header != ["shard", "mu_id", "score"]:
                 raise MalformedFileError(f"unexpected allocation header {header!r}")
             for rec in reader:
-                rows.append((int(rec[0]), int(rec[1]), float(rec[2])))
+                shard, mu_id, score = int(rec[0]), int(rec[1]), float(rec[2])
+                col = col_of.get(mu_id)
+                if col is None:
+                    raise MalformedFileError(
+                        f"allocation references unknown mu_id {mu_id}")
+                shards.append(shard)
+                cols.append(col)
+                scores.append(score)
     except (ValueError, IndexError, StopIteration) as exc:
         raise MalformedFileError(f"allocation file malformed: {path}") from exc
-    if not rows:
+    if not shards:
         raise MalformedFileError(f"allocation file empty: {path}")
-    sigma = max(r[0] for r in rows) + 1
-    table = np.zeros((sigma, instance.n))
-    for s, mu_id, score in rows:
-        if mu_id not in col_of:
-            raise MalformedFileError(f"allocation references unknown mu_id {mu_id}")
-        table[s, col_of[mu_id]] = score
-    return Allocation(instance, table)
+    n = instance.n
+    lowest, highest = min(shards), max(shards)
+    if lowest < 0:
+        raise MalformedFileError(
+            f"allocation has negative shard index {lowest}: {path}")
+    if (highest + 1) * n > len(shards):
+        raise MalformedFileError(
+            f"allocation has {len(shards)} rows, too few for shard index {highest} "
+            f"over {n} users: (shard, mu_id) pairs are missing: {path}")
+    # Every key lies in [0, (highest+1)*n) and there are at least that many
+    # rows, so the keys are complete exactly when none repeats.
+    keys = np.array(shards, dtype=np.int64) * n + np.array(cols, dtype=np.int64)
+    counts = np.bincount(keys)
+    if counts.max() > 1:
+        shard, col = divmod(int(np.argmax(counts > 1)), n)
+        raise MalformedFileError(f"allocation repeats (shard, mu_id) = "
+                                 f"({shard}, {instance.mu_ids[col]}): {path}")
+    table = np.empty(len(shards))
+    table[keys] = scores
+    return Allocation(instance, table.reshape(-1, n))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation
-from .bounds import ShardColumn, attack_bound
+from .bounds import safety_holds, shard_stats
 from .lagrangian import (FeasibilityReport, StationarityVariant, check_feasibility,
                          solve_p3)
 from .model import Allocation, CONSERVATION_RTOL, ProblemInstance
@@ -87,9 +87,8 @@ def _single_shard_allocation(instance: ProblemInstance) -> Allocation:
 
 
 def _bounds_of(alloc: Allocation) -> tuple[float, ...]:
-    active = alloc.active_shards()
-    return tuple(attack_bound(ShardColumn.from_allocation(alloc, s))
-                 for s in range(alloc.sigma) if active[s])
+    _, _, bound, active = shard_stats(alloc.table, alloc.instance.p_adv_array)
+    return tuple(bound[active].tolist())
 
 
 def optimize_sharding(instance: ProblemInstance,
@@ -179,8 +178,8 @@ def verify_full_constraints(solution: ShardingSolution, instance: ProblemInstanc
     """Check a sharded solution against the complete original constraint set.
 
     Pads the allocation with zero rows up to S, then verifies the per-shard
-    safety inequalities gated by x, the two box constraints on x, and exact
-    score conservation.
+    safety inequality on every row (the padding rows, where x is 0, hold it
+    vacuously), the two box constraints on x, and exact score conservation.
     """
     if solution.status is not SolutionStatus.SHARDED or solution.allocation is None:
         raise InvariantViolation("full-constraint check applies to sharded solutions")
@@ -189,16 +188,10 @@ def verify_full_constraints(solution: ShardingSolution, instance: ProblemInstanc
     sigma = solution.sigma_star
     table = np.zeros((s_max, instance.n))
     table[:sigma] = solution.allocation.table
-    a_vec = 0.5 - instance.p_adv_array
-    ln_tau = math.log(tau_eff)
-    x = solution.x
-    for s in range(s_max):
-        margin = float(table[s] @ a_vec)
-        ss = float(table[s] @ table[s])
-        rhs = -0.5 * x[s] * ln_tau * ss
-        if margin * margin < rhs * (1.0 - 1e-12):
-            return False
-    for s, x_s in enumerate(x, start=1):
+    t, q, _, _ = shard_stats(table, instance.p_adv_array)
+    if not safety_holds(t, q, tau_eff).all():
+        return False
+    for s, x_s in enumerate(solution.x, start=1):
         if not ((sigma - s + 1) / s_max <= x_s <= max(0, sigma - s + 1)):
             return False
     eta = instance.eta

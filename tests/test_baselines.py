@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shardalloc import baselines
 from shardalloc.errors import InstanceTooLargeError
 from shardalloc.baselines import (BaselineMethod, exhaustive_best_pr51,
                                   exhaustive_search, greedy_round_robin,
@@ -13,7 +16,8 @@ from shardalloc.baselines import (BaselineMethod, exhaustive_best_pr51,
                                   uniform_split)
 from shardalloc.bounds import allocation_pr51
 from shardalloc.lagrangian import check_feasibility
-from shardalloc.model import EngagementProfile, ProblemInstance, UNIT_WEIGHTS
+from shardalloc.model import (Allocation, EngagementProfile, InstanceGenConfig,
+                              ProblemInstance, UNIT_WEIGHTS, generate_instance)
 from conftest import equal_score_instance, random_instance
 
 
@@ -159,3 +163,70 @@ class TestRunBaseline:
         result = run_baseline(inst, BaselineMethod.GREEDY)
         if result.allocation is not None:
             assert check_feasibility(result.allocation).feasible
+
+    def _count_samples(self, monkeypatch):
+        drawn = []
+        original = baselines._dirichlet_allocations
+
+        def counting(*args):
+            for alloc in original(*args):
+                drawn.append(1)
+                yield alloc
+
+        monkeypatch.setattr(baselines, "_dirichlet_allocations", counting)
+        return drawn
+
+    def test_samples_tried_counts_draws(self, monkeypatch):
+        # The first sample at sigma = S is feasible: one draw, not the budget.
+        inst = generate_instance(InstanceGenConfig(
+            n_nodes=30, score_mean=36.8, score_std=6.7, max_difference=80.4,
+            tau=1e-3, s_max=8, rng_seed=0))
+        drawn = self._count_samples(monkeypatch)
+        result = run_baseline(inst, BaselineMethod.RANDOM_RESTART, budget=200, seed=0)
+        assert result.sigma_star == 8
+        assert result.samples_tried == len(drawn) < 200
+
+    def test_samples_tried_when_nothing_feasible(self, monkeypatch, small_instance):
+        drawn = self._count_samples(monkeypatch)
+        result = run_baseline(small_instance, BaselineMethod.RANDOM_RESTART, budget=5)
+        assert result.sigma_star == 0
+        assert result.samples_tried == len(drawn) == 5 * small_instance.s_max
+
+
+def _law_allocation(kind, inst, sigma, rng):
+    if kind == "uniform":
+        return uniform_split(inst, sigma)
+    if kind == "greedy":
+        return greedy_round_robin(inst, sigma)
+    if kind == "random_restart":
+        alloc, _, _ = random_restart_best(inst, sigma, budget=5,
+                                          seed=int(rng.integers(1 << 30)))
+        return alloc
+    alpha = np.full(sigma, float(rng.uniform(0.1, 5.0)))
+    weights = rng.dirichlet(alpha, size=inst.n)
+    return Allocation(inst, (weights * inst.eta[:, None]).T)
+
+
+class TestMediantLaw:
+    """No score-conserving, non-negative allocation beats the uniform split.
+
+    With t_s >= 0, min_s t_s/||x_s|| <= sum t_s / sum ||x_s|| (mediant)
+    <= a.eta / ||eta|| (triangle inequality), and the uniform split attains
+    a.eta / ||eta|| in every shard.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           sigma=st.integers(1, 10),
+           kind=st.sampled_from(["uniform", "greedy", "dirichlet", "random_restart"]),
+           tau=st.floats(1e-9, 0.99))
+    def test_no_allocation_beats_uniform(self, seed, n, sigma, kind, tau):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n, tau=tau, s_max=10, p_low=0.0, p_high=0.45)
+        alloc = _law_allocation(kind, inst, sigma, rng)
+        assert alloc.conservation_ok and alloc.sign_ok
+        uniform = uniform_split(inst, sigma)
+        assert allocation_pr51(alloc) >= allocation_pr51(uniform) * (1 - 1e-12)
+        if check_feasibility(alloc).feasible:
+            assert check_feasibility(uniform).feasible
+

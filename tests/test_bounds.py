@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardalloc.errors import DegenerateShardError
+from shardalloc.errors import DegenerateShardError, InvariantViolation
 from shardalloc.bounds import (ShardColumn, adversary_expected_score,
                                allocation_pr51, attack_bound, deviation_t,
                                is_shard_safe, monte_carlo_attack_probability,
-                               pr51_of_columns, pr51_summary)
+                               pr51_of_columns, pr51_summary, safety_holds,
+                               shard_stats)
 from shardalloc.baselines import uniform_split
 from shardalloc.model import Allocation
 
@@ -106,6 +107,76 @@ class TestSafety:
     def test_equivalence_with_bound(self, seed, tau):
         column = random_column(np.random.default_rng(seed))
         assert is_shard_safe(column, tau).safe == (attack_bound(column) <= tau)
+
+
+def oracle_stats(table, p):
+    """Per-row reference: a fresh copy of each row, ``ddot`` and ``math.exp``."""
+    a_vec = 0.5 - p
+    rows = []
+    for s in range(table.shape[0]):
+        row = np.array(table[s], copy=True)
+        if not (row > 0).any():
+            rows.append((0.0, 0.0, 1.0, False))
+            continue
+        t = float(np.dot(a_vec, row))
+        q = float(np.dot(row, row))
+        rows.append((t, q, min(1.0, math.exp(-2.0 * t * t / q)), True))
+    t, q, bound, active = zip(*rows)
+    return np.array(t), np.array(q), np.array(bound), np.array(active)
+
+
+class TestShardStats:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.integers(8, 24),
+           half_n=st.integers(0, 60), zero_rows=st.integers(0, 3))
+    def test_bit_identical_to_per_row_oracle(self, seed, sigma, half_n, zero_rows):
+        # Odd N puts the rows of a C-ordered table at every 8-byte offset
+        # modulo 64 once sigma >= 8.
+        n = 2 * half_n + 1
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(0.0, 60.0, (sigma, n))
+        table[rng.random((sigma, n)) < 0.2] = 0.0
+        table[rng.choice(sigma, zero_rows, replace=False)] = 0.0
+        p = rng.uniform(0.0, 0.5, n)
+        offsets = {(table.ctypes.data + s * n * 8) % 64 for s in range(sigma)}
+        assert len(offsets) == 8
+        got = shard_stats(table, p)
+        want = oracle_stats(table, p)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_inactive_row_is_vacuous(self):
+        table = np.array([[1.0, 2.0], [0.0, 0.0], [-1.0, 0.0]])
+        t, q, bound, active = shard_stats(table, np.array([0.1, 0.2]))
+        assert active.tolist() == [True, False, False]
+        assert (t[1:] == 0).all() and (q[1:] == 0).all() and (bound[1:] == 1).all()
+
+    def test_negative_entries_clamped(self):
+        p = np.array([0.1, 0.2, 0.3])
+        got = shard_stats(np.array([[4.0, -3.0, 2.0]]), p)
+        want = shard_stats(np.array([[4.0, 0.0, 2.0]]), p)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_underflowing_row_is_degenerate(self):
+        with pytest.raises(DegenerateShardError):
+            shard_stats(np.array([[1e-200, 1e-200]]), np.array([0.1, 0.1]))
+
+
+class TestSafetyHolds:
+    def test_float(self):
+        # t^2 = 256 < -0.5*ln(0.001)*400 = 1381.55
+        assert safety_holds(16.0, 400.0, 0.001) is False
+        assert safety_holds(200.0, 5000.0, 0.001) is True
+
+    def test_array(self):
+        got = safety_holds(np.array([16.0, 200.0, 0.0]),
+                           np.array([400.0, 5000.0, 0.0]), 0.001)
+        assert got.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 2.0, math.nan])
+    def test_tau_validated(self, tau):
+        with pytest.raises(InvariantViolation):
+            safety_holds(1.0, 1.0, tau)
 
 
 class TestPr51:

@@ -120,6 +120,37 @@ class TestValidate:
     def test_suite_passes(self):
         assert cli_dispatch(["validate", "--seed", "2"]) == 0
 
+    def test_results_revalidated(self, tmp_path, instance_file):
+        cfg = {"experiment_id": "pr51_vs_shards", "label": "cli",
+               "methods": ["uniform"], "sigma_grid": [1, 2],
+               "instance_path": str(instance_file)}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli_dispatch(["experiment", "pr51_vs_shards", "--config",
+                             str(cfg_path), "--output-dir", str(out_dir)]) == 0
+        assert cli_dispatch(["validate", "--results", str(out_dir)]) == 0
+        for path in (out_dir / "allocs").glob("*.csv"):
+            path.unlink()
+        assert cli_dispatch(["validate", "--results", str(out_dir)]) == 2
+
+    def test_results_with_shifted_columns_exit_two(self, tmp_path):
+        # What an unquoted label "a,b" used to write.
+        (tmp_path / "pr51_vs_shards.csv").write_text(
+            "experiment_id,instance_label,method,sigma,pr51,throughput_tx_s,"
+            "wall_time_ms,solves,status\n"
+            "pr51_vs_shards,a,b,uniform,1,0.25,,,,infeasible\n")
+        assert cli_dispatch(["validate", "--results", str(tmp_path)]) == 2
+
+    def test_comma_label_rejected(self, tmp_path, instance_file):
+        cfg = {"experiment_id": "pr51_vs_shards", "label": "a,b",
+               "methods": ["uniform"], "sigma_grid": [1],
+               "instance_path": str(instance_file)}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_dispatch(["experiment", "pr51_vs_shards", "--config",
+                             str(cfg_path)]) == 2
+
     def test_help_exits_zero(self):
         assert cli_dispatch(["--help"]) == 0
 

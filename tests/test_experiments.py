@@ -54,6 +54,12 @@ class TestConfig:
         with pytest.raises(InvariantViolation):
             pr51_config(methods=["cplex"])
 
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\r", "a\u2028b"])
+    def test_label_breaking_the_csv_rejected(self, label):
+        # The result CSV is unquoted: a comma would shift the columns.
+        with pytest.raises(InvariantViolation):
+            pr51_config(label=label)
+
 
 class TestPr51Table:
     def test_sigma_one_rows_identical(self, tmp_path):
@@ -94,6 +100,50 @@ class TestPr51Table:
         parts[4] = "0.5"  # forge the risk column
         lines[1] = ",".join(parts)
         csv_path.write_text("\n".join(lines) + "\n")
+        assert revalidate_results(tmp_path)
+
+
+class TestRevalidation:
+    def unsafe_config(self):
+        return config_from_dict({
+            "experiment_id": "throughput_and_time", "label": "u", "rng_seed": 3,
+            "s_max_grid": [2, 4], "methods": ["lgrn_rederived", "uniform"],
+            "gen": gen_block(tau=1e-12)})
+
+    def test_deleted_allocations_reported(self, tmp_path):
+        run_experiment(pr51_config(), tmp_path)
+        for path in (tmp_path / "allocs").glob("*.csv"):
+            path.unlink()
+        problems = revalidate_results(tmp_path)
+        assert len(problems) == 6
+        assert all("allocation file" in p for p in problems)
+
+    def test_unsafe_rows_checked_against_single_shard_bound(self, tmp_path):
+        csv_path = run_experiment(self.unsafe_config(), tmp_path)
+        rows = read_rows(csv_path)
+        assert {r["status"] for r in rows} == {"unsafe"}
+        assert not (tmp_path / "allocs").exists()
+        assert revalidate_results(tmp_path) == []
+        csv_path.write_text(csv_path.read_text().replace(rows[0]["pr51"], "0.5", 1))
+        assert len(revalidate_results(tmp_path)) == 1
+
+    def test_missing_instance_reported(self, tmp_path):
+        run_experiment(self.unsafe_config(), tmp_path)
+        for path in tmp_path.glob("instance__*.json"):
+            path.unlink()
+        problems = revalidate_results(tmp_path)
+        assert len(problems) == 4
+        assert all("instance file" in p for p in problems)
+
+    def test_shifted_columns_reported(self, tmp_path):
+        csv_path = run_experiment(pr51_config(), tmp_path)
+        lines = csv_path.read_text().splitlines()
+        lines[1] = lines[1].replace(",t,", ",a,b,", 1)
+        csv_path.write_text("\n".join(lines) + "\n")
+        problems = revalidate_results(tmp_path)
+        assert len(problems) == 1 and "fields" in problems[0]
+
+    def test_directory_without_results_reported(self, tmp_path):
         assert revalidate_results(tmp_path)
 
 

@@ -194,3 +194,40 @@ class TestAllocation:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(MalformedFileError):
             load_allocation_csv(path, small_instance)
+
+    @staticmethod
+    def _csv(tmp_path, rows):
+        path = tmp_path / "alloc.csv"
+        path.write_text("shard,mu_id,score\n" + "".join(
+            f"{s},{mu},{v}\n" for s, mu, v in rows))
+        return path
+
+    def test_csv_negative_shard(self, tmp_path, small_instance):
+        # Numpy's negative indexing would put shard -1 into the last shard.
+        rows = [(s, mu, 1.0) for s in (0, 1) for mu in range(4)]
+        rows[-1] = (-1, 3, 1.0)
+        with pytest.raises(MalformedFileError, match="negative shard"):
+            load_allocation_csv(self._csv(tmp_path, rows), small_instance)
+
+    def test_csv_duplicate_pair(self, tmp_path, small_instance):
+        rows = [(s, mu, 1.0) for s in (0, 1) for mu in range(4)]
+        rows.append((1, 2, 5.0))
+        with pytest.raises(MalformedFileError, match="repeats"):
+            load_allocation_csv(self._csv(tmp_path, rows), small_instance)
+
+    def test_csv_duplicate_in_place_of_missing_pair(self, tmp_path, small_instance):
+        rows = [(s, mu, 1.0) for s in (0, 1) for mu in range(4)]
+        rows[5] = (0, 1, 1.0)
+        with pytest.raises(MalformedFileError, match="repeats"):
+            load_allocation_csv(self._csv(tmp_path, rows), small_instance)
+
+    def test_csv_missing_pair(self, tmp_path, small_instance):
+        rows = [(s, mu, 1.0) for s in (0, 1) for mu in range(4)]
+        del rows[6]
+        with pytest.raises(MalformedFileError, match="missing"):
+            load_allocation_csv(self._csv(tmp_path, rows), small_instance)
+
+    def test_csv_shard_out_of_range(self, tmp_path, small_instance):
+        rows = [(0, mu, 1.0) for mu in range(4)] + [(10**30, 0, 1.0)]
+        with pytest.raises(MalformedFileError, match="missing"):
+            load_allocation_csv(self._csv(tmp_path, rows), small_instance)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardalloc.errors import InvariantViolation
 from shardalloc.lagrangian import StationarityVariant, check_feasibility
@@ -41,6 +43,18 @@ class TestThroughput:
 
     def test_baseline_scale(self):
         assert throughput(4, 2000.0) == 8_000.0
+
+
+class TestVerifyFullConstraints:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25),
+           s_max=st.integers(1, 8), tau=st.sampled_from([0.5, 0.05, 1e-3, 1e-6]),
+           variant=st.sampled_from(list(StationarityVariant)))
+    def test_every_sharded_solution_passes(self, seed, n, s_max, tau, variant):
+        inst = random_instance(np.random.default_rng(seed), n, tau=tau, s_max=s_max)
+        sol = optimize_sharding(inst, variant)
+        if sol.status is SolutionStatus.SHARDED:
+            assert verify_full_constraints(sol, inst)
 
 
 class TestOptimize:
