@@ -94,6 +94,8 @@ def shard_stats(table: np.ndarray, p_adv: np.ndarray,
         t_s, q_s = float(a_vec @ row), float(row @ row)
         if q_s == 0.0:
             raise DegenerateShardError(f"shard {s} carries no score")
+        # The clamp is live: with entries near 1e160, q overflows to inf, the
+        # exponent is NaN, and min(1.0, nan) -- in this argument order -- is 1.0.
         t[s], q[s], bound[s] = t_s, q_s, min(1.0, math.exp(-2.0 * t_s * t_s / q_s))
     return t, q, bound, active
 

@@ -21,20 +21,21 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import (GenerationFailure, InstanceTooLargeError, InvariantViolation,
-                     MalformedFileError, ShardAllocError)
+                     ShardAllocError)
 from .baselines import (BaselineMethod, DEFAULT_RESTART_BUDGET, exhaustive_best_pr51,
                         greedy_round_robin, random_restart_best, run_baseline,
                         uniform_split)
 from .bounds import allocation_pr51
 from .lagrangian import StationarityVariant, check_feasibility, solve_p3
 from .model import (Allocation, InstanceGenConfig, ProblemInstance,
-                    generate_instance, instance_stats, load_allocation_csv,
-                    load_instance, save_allocation_csv, save_instance)
+                    generate_instance, instance_stats, json_dataclass, json_field,
+                    load_allocation_csv, load_instance, read_json_object,
+                    save_allocation_csv, save_instance)
 from .optimizer import SearchMode, optimize_sharding, throughput
 
 EXPERIMENT_IDS = ("pr51_vs_shards", "throughput_and_time", "adv_prob_sweep",
@@ -118,55 +119,33 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     if config.instance_path is not None:
         d["instance_path"] = config.instance_path
     if config.gen is not None:
-        g = config.gen
-        d["gen"] = {"n_nodes": g.n_nodes, "score_mean": g.score_mean,
-                    "score_std": g.score_std, "max_difference": g.max_difference,
-                    "p_adv_default": g.p_adv_default, "tau": g.tau,
-                    "s_max": g.s_max, "t_per_shard": g.t_per_shard,
-                    "rng_seed": g.rng_seed}
+        d["gen"] = asdict(config.gen)
     return d
 
 
+# Optional fields of the experiment config file; an absent one takes the
+# ExperimentConfig default.
+_OPTIONAL_FIELDS = {
+    "instance_path": str, "sigma_grid": list[int], "s_max_grid": list[int],
+    "scale_percents": list[float], "mean_grid": list[float],
+    "std_grid": list[float], "restart_budget": int, "grid_steps": int,
+    "rng_seed": int, "record_wall_time": bool,
+}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    try:
-        gen = None
-        if "gen" in data:
-            g = data["gen"]
-            gen = InstanceGenConfig(
-                n_nodes=int(g["n_nodes"]), score_mean=float(g["score_mean"]),
-                score_std=float(g["score_std"]),
-                max_difference=float(g["max_difference"]),
-                p_adv_default=float(g.get("p_adv_default", 0.1)),
-                tau=float(g.get("tau", 0.001)), s_max=int(g.get("s_max", 10)),
-                t_per_shard=float(g.get("t_per_shard", 2000.0)),
-                rng_seed=int(g.get("rng_seed", 0)))
-        return ExperimentConfig(
-            experiment_id=str(data["experiment_id"]),
-            label=str(data.get("label", "instance")),
-            methods=tuple(data["methods"]),
-            instance_path=data.get("instance_path"),
-            gen=gen,
-            sigma_grid=tuple(int(v) for v in data.get("sigma_grid", ())),
-            s_max_grid=tuple(int(v) for v in data.get("s_max_grid", ())),
-            scale_percents=tuple(float(v) for v in data.get("scale_percents", ())),
-            mean_grid=tuple(float(v) for v in data.get("mean_grid", ())),
-            std_grid=tuple(float(v) for v in data.get("std_grid", ())),
-            restart_budget=int(data.get("restart_budget", DEFAULT_RESTART_BUDGET)),
-            grid_steps=int(data.get("grid_steps", 4)),
-            rng_seed=int(data.get("rng_seed", 0)),
-            record_wall_time=bool(data.get("record_wall_time", False)))
-    except InvariantViolation:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"experiment config malformed: {exc!r}") from exc
+    gen = json_field(data, "gen", dict, None)
+    return ExperimentConfig(
+        experiment_id=json_field(data, "experiment_id", str),
+        label=json_field(data, "label", str, "instance"),
+        methods=json_field(data, "methods", list[str]),
+        gen=None if gen is None else json_dataclass(InstanceGenConfig, gen),
+        **{key: json_field(data, key, kind)
+           for key, kind in _OPTIONAL_FIELDS.items() if key in data})
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"not valid JSON: {path}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json_object(path, "experiment config"))
 
 
 @dataclass(frozen=True)
@@ -486,19 +465,25 @@ def revalidate_results(output_dir: str | Path) -> list[str]:
     A row whose allocation file is missing is a problem unless its status is
     ``unsafe``: the search stores no allocation then, and the reported risk is
     the single-shard bound of the instance. A missing instance file, a
-    malformed row and a directory without any result CSV are always
-    problems. Returns human-readable problem descriptions (empty = clean).
+    malformed row, a CSV that is not UTF-8 text and a directory without any
+    result CSV are always problems. Each instance file is loaded once per
+    call. Returns human-readable problem descriptions (empty = clean).
     """
     out = Path(output_dir)
     problems: list[str] = []
     result_files = 0
+    instances: dict[Path, ProblemInstance] = {}
     for csv_path in sorted(out.glob("*.csv")):
-        lines = csv_path.read_text().splitlines()
+        try:
+            lines = csv_path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            problems.append(f"{csv_path.name}: not UTF-8 text")
+            continue
         if not lines or lines[0] != ",".join(CSV_HEADER):
             continue
         result_files += 1
         for line in lines[1:]:
-            problem = _revalidate_row(out, line.split(","))
+            problem = _revalidate_row(out, line.split(","), instances)
             if problem is not None:
                 problems.append(f"{csv_path.name}: {problem}")
     if result_files == 0:
@@ -506,7 +491,8 @@ def revalidate_results(output_dir: str | Path) -> list[str]:
     return problems
 
 
-def _revalidate_row(out: Path, parts: list[str]) -> str | None:
+def _revalidate_row(out: Path, parts: list[str],
+                    instances: dict[Path, ProblemInstance]) -> str | None:
     if len(parts) != len(CSV_HEADER):
         return f"row with {len(parts)} fields, expected {len(CSV_HEADER)}: {parts!r}"
     experiment_id, label, method, sigma_s, pr51_s = parts[:5]
@@ -519,9 +505,11 @@ def _revalidate_row(out: Path, parts: list[str]) -> str | None:
     except ValueError:
         return f"{where}: unreadable sigma or pr51"
     inst_path = out / f"instance__{_safe_label(label)}.json"
-    if not inst_path.exists():
-        return f"{where}: instance file {inst_path.name} missing"
-    instance = load_instance(inst_path)
+    if inst_path not in instances:
+        if not inst_path.exists():
+            return f"{where}: instance file {inst_path.name} missing"
+        instances[inst_path] = load_instance(inst_path)
+    instance = instances[inst_path]
     alloc_path = _alloc_path(out, experiment_id, label, method, sigma)
     if alloc_path.exists():
         recomputed = allocation_pr51(load_allocation_csv(alloc_path, instance))

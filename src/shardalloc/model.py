@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -272,15 +272,8 @@ class Allocation:
     def sigma(self) -> int:
         return int(self.table.shape[0])
 
-    def row(self, s: int) -> np.ndarray:
-        return self.table[s]
-
     def shard_totals(self) -> np.ndarray:
         return self.table.sum(axis=1)
-
-    def active_shards(self) -> np.ndarray:
-        """Boolean mask of shards holding any positive score."""
-        return (self.table > 0).any(axis=1)
 
     @property
     def sign_ok(self) -> bool:
@@ -308,11 +301,7 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
         "tau": instance.tau,
         "s_max": instance.s_max,
         "t_per_shard": instance.t_per_shard,
-        "weights": {
-            "alpha_d": instance.weights.alpha_d,
-            "alpha_c": instance.weights.alpha_c,
-            "alpha_t": instance.weights.alpha_t,
-        },
+        "weights": asdict(instance.weights),
         "mus": [
             {"id": p.mu_id, "d": p.data_score, "c": p.compute_score,
              "t": p.token_score, "p_adv": pa}
@@ -320,42 +309,91 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
         ],
     }
     if instance.meta is not None:
-        d["meta"] = {
-            "seed": instance.meta.seed,
-            "achieved_mean": instance.meta.achieved_mean,
-            "achieved_std": instance.meta.achieved_std,
-            "achieved_spread": instance.meta.achieved_spread,
-        }
+        d["meta"] = asdict(instance.meta)
     return d
 
 
-def instance_from_dict(data: dict) -> ProblemInstance:
+# JSON type of each Python kind, for error messages.
+_JSON_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+               str: "a string", dict: "an object", list: "an array"}
+# Dataclass annotation (a string under postponed evaluation) -> field kind.
+_FIELD_KINDS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object held by the UTF-8 file ``path``.
+
+    Anything else -- undecodable bytes, invalid or too deeply nested JSON, a
+    top-level value that is not an object -- is ``MalformedFileError``.
+    """
     try:
-        weights = Weights(alpha_d=float(data["weights"]["alpha_d"]),
-                          alpha_c=float(data["weights"]["alpha_c"]),
-                          alpha_t=float(data["weights"]["alpha_t"]))
-        profiles = tuple(
-            EngagementProfile(mu_id=int(mu["id"]), data_score=float(mu["d"]),
-                              compute_score=float(mu["c"]), token_score=float(mu["t"]))
-            for mu in data["mus"])
-        p_adv = tuple(float(mu["p_adv"]) for mu in data["mus"])
-        tau = float(data["tau"])
-        s_max = int(data["s_max"])
-        t_per_shard = float(data["t_per_shard"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"instance file missing or mistyped field: {exc!r}") from exc
-    meta = None
-    if "meta" in data:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise MalformedFileError(f"{what} file is not valid UTF-8 JSON: {path}") from exc
+    if not isinstance(data, dict):
+        raise MalformedFileError(f"{what} file must hold a JSON object: {path}")
+    return data
+
+
+def json_field(data: dict, key: str, kind, default=MISSING):
+    """``data[key]`` as ``kind``, accepting exactly the JSON type the savers write.
+
+    ``kind`` is ``int``, ``float``, ``bool``, ``str``, ``dict`` or
+    ``list[kind]`` (read as a tuple). An int comes only from a JSON integer and
+    a float from any JSON number that fits one, neither from a boolean or a
+    string. A missing key gives ``default``; without one, and for a value of
+    any other type, the result is ``MalformedFileError`` naming the key.
+    """
+    value = data.get(key, MISSING)
+    if type(value) is kind:
+        return value
+    if value is MISSING:
+        if default is MISSING:
+            raise MalformedFileError(f"field {key!r} is missing")
+        return default
+    return _json_value(key, value, kind)
+
+
+def _json_value(key: str, value, kind):
+    """``value`` as ``kind`` when its JSON type is not ``kind`` itself."""
+    if kind is float and type(value) is int:
         try:
-            m = data["meta"]
-            meta = GenerationMeta(seed=int(m["seed"]),
-                                  achieved_mean=float(m["achieved_mean"]),
-                                  achieved_std=float(m["achieved_std"]),
-                                  achieved_spread=float(m["achieved_spread"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFileError(f"instance meta block malformed: {exc!r}") from exc
-    return ProblemInstance(profiles=profiles, weights=weights, p_adv=p_adv,
-                           tau=tau, s_max=s_max, t_per_shard=t_per_shard, meta=meta)
+            return float(value)
+        except OverflowError:
+            raise MalformedFileError(f"field {key!r} is too large for a float") from None
+    if get_origin(kind) is list and type(value) is list:
+        (item,) = get_args(kind)
+        return tuple(v if type(v) is item else _json_value(f"{key}[{i}]", v, item)
+                     for i, v in enumerate(value))
+    got = _JSON_NAMES[type(value)] if type(value) in (list, dict) else repr(value)[:40]
+    raise MalformedFileError(f"field {key!r} must be {_json_name(kind)}, not {got}")
+
+
+def _json_name(kind) -> str:
+    if get_origin(kind) is list:
+        return f"an array, each item {_json_name(get_args(kind)[0])}"
+    return _JSON_NAMES[kind]
+
+
+def json_dataclass(cls, data: dict):
+    """A flat dataclass read field by field; an absent field takes its default."""
+    return cls(**{f.name: json_field(data, f.name, _FIELD_KINDS[f.type], f.default)
+                  for f in fields(cls)})
+
+
+def instance_from_dict(data: dict) -> ProblemInstance:
+    mus = json_field(data, "mus", list[dict])
+    meta = json_field(data, "meta", dict, None)
+    return ProblemInstance(
+        profiles=tuple(EngagementProfile(
+            json_field(mu, "id", int), json_field(mu, "d", float),
+            json_field(mu, "c", float), json_field(mu, "t", float)) for mu in mus),
+        weights=json_dataclass(Weights, json_field(data, "weights", dict)),
+        p_adv=tuple(json_field(mu, "p_adv", float) for mu in mus),
+        tau=json_field(data, "tau", float),
+        s_max=json_field(data, "s_max", int),
+        t_per_shard=json_field(data, "t_per_shard", float),
+        meta=None if meta is None else json_dataclass(GenerationMeta, meta))
 
 
 def save_instance(instance: ProblemInstance, path: str | Path) -> None:
@@ -363,13 +401,7 @@ def save_instance(instance: ProblemInstance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> ProblemInstance:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"not valid JSON: {path}") from exc
-    if not isinstance(data, dict):
-        raise MalformedFileError(f"instance file must hold a JSON object: {path}")
-    return instance_from_dict(data)
+    return instance_from_dict(read_json_object(path, "instance"))
 
 
 def save_allocation_csv(alloc: Allocation, path: str | Path) -> None:
@@ -408,7 +440,7 @@ def load_allocation_csv(path: str | Path, instance: ProblemInstance) -> Allocati
                 shards.append(shard)
                 cols.append(col)
                 scores.append(score)
-    except (ValueError, IndexError, StopIteration) as exc:
+    except (ValueError, IndexError, StopIteration, csv.Error) as exc:
         raise MalformedFileError(f"allocation file malformed: {path}") from exc
     if not shards:
         raise MalformedFileError(f"allocation file empty: {path}")

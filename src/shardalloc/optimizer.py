@@ -41,21 +41,13 @@ class SolutionStatus(enum.Enum):
 def derive_x(sigma: int, s_max: int) -> tuple[int, ...]:
     """Shard indicator vector: ones for the first ``sigma`` slots.
 
-    The result is checked against the pair of box constraints that force
-    exactly this pattern for a live shard count of ``sigma``:
-    x_s >= (sigma - s + 1)/S and x_s <= sigma - s + 1 for s = 1..S.
+    This is the one pattern the box constraints x_s >= (sigma - s + 1)/S and
+    x_s <= max(0, sigma - s + 1), s = 1..S, admit for a live shard count of
+    ``sigma``; ``verify_full_constraints`` checks them.
     """
     if not (0 <= sigma <= s_max):
         raise InvariantViolation(f"sigma={sigma} outside [0, {s_max}]")
-    x = tuple(1 if s <= sigma else 0 for s in range(1, s_max + 1))
-    for s, x_s in enumerate(x, start=1):
-        lo = (sigma - s + 1) / s_max
-        # Upper box clamped at 0: the raw value sigma-s+1 goes below zero once
-        # s >= sigma+2, where the binding requirement is just x_s <= 0.
-        hi = max(0, sigma - s + 1)
-        if not (x_s >= lo and x_s <= hi):
-            raise InvariantViolation(f"derived x violates box constraints at s={s}")
-    return x
+    return tuple(1 if s <= sigma else 0 for s in range(1, s_max + 1))
 
 
 def throughput(sigma: int, t_per_shard: float) -> float:

@@ -13,15 +13,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyShardError, InvariantViolation, MalformedFileError
+from .errors import EmptyShardError, InvariantViolation
 from .baselines import uniform_split
-from .model import Allocation, ProblemInstance
+from .model import Allocation, ProblemInstance, json_dataclass, read_json_object
 from .optimizer import (SearchMode, ShardingSolution, SolutionStatus,
                         StationarityVariant, optimize_sharding)
 
@@ -32,6 +32,9 @@ CORRUPTED_P_ADV = 0.49
 ADVERSARY_MODES = ("none", "fixed", "per_epoch")
 
 _TWO_256 = 2 ** 256
+
+# The largest mean numpy's ``Generator.poisson`` accepts.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,10 @@ class EpochConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.slots_per_epoch < 1:
             raise InvariantViolation("epochs and slots_per_epoch must be >= 1")
-        if self.corruption_rate < 0:
-            raise InvariantViolation("corruption_rate must be >= 0")
+        if not (0 <= self.corruption_rate <= POISSON_LAM_MAX):
+            raise InvariantViolation(
+                f"corruption_rate={self.corruption_rate!r} must be a number in "
+                f"[0, {POISSON_LAM_MAX!r}], the range of a Poisson draw")
         if self.corruption_delay < 0:
             raise InvariantViolation("corruption_delay must be >= 0")
         if self.reconfigure_every < 1:
@@ -59,39 +64,15 @@ class EpochConfig:
 
 
 def epoch_config_to_dict(config: EpochConfig) -> dict:
-    return {
-        "epochs": config.epochs,
-        "slots_per_epoch": config.slots_per_epoch,
-        "corruption_rate": config.corruption_rate,
-        "corruption_delay": config.corruption_delay,
-        "reconfigure_every": config.reconfigure_every,
-        "rng_seed": config.rng_seed,
-        "adversary_mode": config.adversary_mode,
-    }
+    return asdict(config)
 
 
 def epoch_config_from_dict(data: dict) -> EpochConfig:
-    try:
-        return EpochConfig(
-            epochs=int(data["epochs"]),
-            slots_per_epoch=int(data["slots_per_epoch"]),
-            corruption_rate=float(data.get("corruption_rate", 0.0)),
-            corruption_delay=int(data.get("corruption_delay", 0)),
-            reconfigure_every=int(data.get("reconfigure_every", 1)),
-            rng_seed=int(data.get("rng_seed", 0)),
-            adversary_mode=str(data.get("adversary_mode", "none")))
-    except InvariantViolation:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"simulation config malformed: {exc!r}") from exc
+    return json_dataclass(EpochConfig, data)
 
 
 def load_epoch_config(path: str | Path) -> EpochConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"not valid JSON: {path}") from exc
-    return epoch_config_from_dict(data)
+    return epoch_config_from_dict(read_json_object(path, "simulation config"))
 
 
 @dataclass(frozen=True)

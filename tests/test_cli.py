@@ -74,6 +74,18 @@ class TestSimulate:
                              str(cfg_path), "-o", str(out)]) == 0
         assert json.loads(out.read_text())["epochs_run"] == 5
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "1e300"])
+    def test_corruption_rate_outside_the_poisson_range(self, tmp_path, instance_file,
+                                                       rate):
+        out = str(tmp_path / "r.json")
+        assert cli_dispatch(["simulate", str(instance_file), "--epochs", "2",
+                             "--corruption-rate", rate, "-o", out]) == 2
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(f'{{"epochs": 2, "slots_per_epoch": 1, '
+                       f'"corruption_rate": {json.dumps(float(rate))}}}')
+        assert cli_dispatch(["simulate", str(instance_file), "--config", str(cfg),
+                             "-o", out]) == 2
+
     def test_needs_epochs_or_config(self, tmp_path, instance_file):
         assert cli_dispatch(["simulate", str(instance_file),
                              "-o", str(tmp_path / "sim.json")]) == 1
@@ -141,6 +153,19 @@ class TestValidate:
             "wall_time_ms,solves,status\n"
             "pr51_vs_shards,a,b,uniform,1,0.25,,,,infeasible\n")
         assert cli_dispatch(["validate", "--results", str(tmp_path)]) == 2
+
+    def test_non_utf8_result_csv_exit_two(self, tmp_path, instance_file, capsys):
+        cfg = {"experiment_id": "pr51_vs_shards", "label": "cli",
+               "methods": ["uniform"], "sigma_grid": [1],
+               "instance_path": str(instance_file)}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli_dispatch(["experiment", "pr51_vs_shards", "--config",
+                             str(cfg_path), "--output-dir", str(out_dir)]) == 0
+        (out_dir / "zz.csv").write_bytes(b"\xff\xfe\n")
+        assert cli_dispatch(["validate", "--results", str(out_dir)]) == 2
+        assert "FAIL revalidate: zz.csv: not UTF-8 text" in capsys.readouterr().out
 
     def test_comma_label_rejected(self, tmp_path, instance_file):
         cfg = {"experiment_id": "pr51_vs_shards", "label": "a,b",

@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from shardalloc import experiments
 from shardalloc.errors import InvariantViolation
 from shardalloc.experiments import (config_from_dict, config_to_dict,
                                     revalidate_results, run_experiment)
-from shardalloc.model import InstanceGenConfig, generate_instance, save_instance
+from shardalloc.model import (InstanceGenConfig, generate_instance, load_instance,
+                              save_instance)
 
 
 def gen_block(**overrides):
@@ -145,6 +147,29 @@ class TestRevalidation:
 
     def test_directory_without_results_reported(self, tmp_path):
         assert revalidate_results(tmp_path)
+
+    def test_non_utf8_csv_reported(self, tmp_path):
+        run_experiment(pr51_config(), tmp_path)
+        (tmp_path / "notes.csv").write_bytes(b"caf\xe9\n")
+        assert revalidate_results(tmp_path) == ["notes.csv: not UTF-8 text"]
+
+    def test_each_instance_file_loaded_once(self, tmp_path, monkeypatch):
+        loads = []
+
+        def counting_load(path):
+            loads.append(path.name)
+            return load_instance(path)
+
+        run_experiment(pr51_config(), tmp_path / "one")
+        run_experiment(self.unsafe_config(), tmp_path / "two")
+        monkeypatch.setattr(experiments, "load_instance", counting_load)
+        assert revalidate_results(tmp_path / "one") == []
+        assert loads == ["instance__t.json"]
+        loads.clear()
+        assert revalidate_results(tmp_path / "two") == []
+        assert sorted(loads) == ["instance__u_S2.json", "instance__u_S4.json"]
+        assert revalidate_results(tmp_path / "two") == []
+        assert len(loads) == 4
 
 
 class TestDeterminism:

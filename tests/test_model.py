@@ -231,3 +231,9 @@ class TestAllocation:
         rows = [(0, mu, 1.0) for mu in range(4)] + [(10**30, 0, 1.0)]
         with pytest.raises(MalformedFileError, match="missing"):
             load_allocation_csv(self._csv(tmp_path, rows), small_instance)
+
+    def test_csv_field_over_the_csv_module_limit(self, tmp_path, small_instance):
+        path = self._csv(tmp_path, [(0, mu, 1.0) for mu in range(4)])
+        path.write_text(path.read_text() + "0,0," + "1" * 200_000 + "\n")
+        with pytest.raises(MalformedFileError, match="malformed"):
+            load_allocation_csv(path, small_instance)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from shardalloc.errors import EmptyShardError
 from shardalloc.baselines import uniform_split
 from shardalloc.bounds import ShardColumn, attack_bound
-from shardalloc.simulator import (CORRUPTED_P_ADV, EpochConfig, NetworkState,
-                                  apply_corruptions, elect_leader,
+from shardalloc.simulator import (CORRUPTED_P_ADV, POISSON_LAM_MAX, EpochConfig,
+                                  NetworkState, apply_corruptions, elect_leader,
                                   epoch_config_from_dict, epoch_config_to_dict,
                                   initial_seeds, leader_election_gof,
                                   next_seed, remap_seeds, run_simulation)
@@ -105,6 +105,20 @@ class TestEpochConfig:
         from shardalloc.errors import InvariantViolation
         with pytest.raises(InvariantViolation):
             EpochConfig(epochs=1, slots_per_epoch=1, adversary_mode="maybe")
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 1e300, -1.0,
+                                      math.nextafter(POISSON_LAM_MAX, math.inf)])
+    def test_rate_outside_the_poisson_range(self, rate):
+        from shardalloc.errors import InvariantViolation
+        with pytest.raises(InvariantViolation, match="corruption_rate"):
+            EpochConfig(epochs=1, slots_per_epoch=1, corruption_rate=rate)
+
+    def test_poisson_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        EpochConfig(epochs=1, slots_per_epoch=1, corruption_rate=POISSON_LAM_MAX)
+        rng.poisson(POISSON_LAM_MAX)
+        with pytest.raises(ValueError, match="too large"):
+            rng.poisson(math.nextafter(POISSON_LAM_MAX, math.inf))
 
 
 class TestCorruptions:
