@@ -2,12 +2,12 @@
 
 Four experiments are provided: per-shard-count risk curves, throughput and
 solver effort versus the shard budget, an adversarial-probability sweep, and
-a score mean/STD sweep on generated instances. Rows are computed
-independently (optionally in parallel, capped by SHARDALLOC_THREADS), sorted
-by a stable key, and written with full-precision floats so a rerun with the
-same config and seed reproduces the artifact byte for byte. Wall-clock
-columns stay empty unless timing is explicitly enabled, because measured
-times can never be reproducible.
+a score mean/STD sweep on generated instances. Each experiment is a list of
+cells, one instance each; every (cell, method) pair goes through one row
+function, serially. Rows are sorted by a stable key and written with
+full-precision floats, so a rerun with the same config and seed reproduces the
+artifact byte for byte. Wall-clock columns stay empty unless timing is
+explicitly enabled, because measured times can never be reproducible.
 
 Every row that produced an allocation also stores it as a CSV next to the
 instance file, so ``revalidate_results`` can recompute each reported risk
@@ -17,13 +17,12 @@ number from the stored artifacts.
 from __future__ import annotations
 
 import json
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import product
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (GenerationFailure, InstanceTooLargeError, InvariantViolation,
                      ShardAllocError)
@@ -102,25 +101,9 @@ class ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    d: dict = {
-        "experiment_id": config.experiment_id,
-        "label": config.label,
-        "methods": list(config.methods),
-        "sigma_grid": list(config.sigma_grid),
-        "s_max_grid": list(config.s_max_grid),
-        "scale_percents": list(config.scale_percents),
-        "mean_grid": list(config.mean_grid),
-        "std_grid": list(config.std_grid),
-        "restart_budget": config.restart_budget,
-        "grid_steps": config.grid_steps,
-        "rng_seed": config.rng_seed,
-        "record_wall_time": config.record_wall_time,
-    }
-    if config.instance_path is not None:
-        d["instance_path"] = config.instance_path
-    if config.gen is not None:
-        d["gen"] = asdict(config.gen)
-    return d
+    """The config as JSON-ready data: tuples as lists, unset fields left out."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(config).items() if value is not None}
 
 
 # Optional fields of the experiment config file; an absent one takes the
@@ -182,25 +165,6 @@ def write_rows(rows: Sequence[ResultRow], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SHARDALLOC_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
-def _map_jobs(fn: Callable, items: Sequence) -> list:
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _safe_label(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.@%-]", "-", label)
 
@@ -211,30 +175,21 @@ def _restart_seed(rng_seed: int, method: str, sigma: int) -> int:
     return rng_seed * 1_000_003 + sigma * 1_009 + len(method)
 
 
-def _load_base_instance(config: ExperimentConfig) -> ProblemInstance:
-    if config.instance_path is not None:
-        return load_instance(config.instance_path)
-    assert config.gen is not None
-    return generate_instance(config.gen)
-
-
 def _alloc_path(output_dir: Path, experiment_id: str, label: str, method: str,
                 sigma: int) -> Path:
     return (output_dir / "allocs" /
             f"{experiment_id}__{_safe_label(label)}__{method}__s{sigma}.csv")
 
 
-def _store_instance(instance: ProblemInstance, output_dir: Path, label: str) -> None:
-    save_instance(instance, output_dir / f"instance__{_safe_label(label)}.json")
+_VARIANTS = {METHOD_LGRN_REDERIVED: StationarityVariant.REDERIVED,
+             METHOD_LGRN_LITERAL: StationarityVariant.LITERAL}
 
 
 def _method_allocation(instance: ProblemInstance, method: str, sigma: int,
                        config: ExperimentConfig) -> Allocation:
     """The allocation a method proposes at a fixed shard count."""
-    if method == METHOD_LGRN_REDERIVED:
-        return solve_p3(instance, sigma, variant=StationarityVariant.REDERIVED).allocation
-    if method == METHOD_LGRN_LITERAL:
-        return solve_p3(instance, sigma, variant=StationarityVariant.LITERAL).allocation
+    if method in _VARIANTS:
+        return solve_p3(instance, sigma, variant=_VARIANTS[method]).allocation
     if method == METHOD_UNIFORM:
         return uniform_split(instance, sigma)
     if method == METHOD_GREEDY:
@@ -250,6 +205,77 @@ def _method_allocation(instance: ProblemInstance, method: str, sigma: int,
     raise InvariantViolation(f"unknown method {method!r}")
 
 
+def _search(instance: ProblemInstance, method: str, config: ExperimentConfig) -> tuple:
+    """A method's own search for its best shard count:
+    ``(sigma*, allocation or None, pr51, throughput, solves, status)``."""
+    if method in _VARIANTS:
+        sol = optimize_sharding(instance, _VARIANTS[method], SearchMode.BINARY)
+        return (sol.sigma_star, sol.allocation, sol.pr51, sol.throughput,
+                sol.solves_performed, sol.status.value)
+    base = run_baseline(
+        instance, BaselineMethod(method), budget=config.restart_budget,
+        grid_steps=config.grid_steps, seed=_restart_seed(config.rng_seed, method, 0))
+    status = {0: "unsafe", 1: "unsharded_safe"}.get(base.sigma_star, "sharded")
+    return (base.sigma_star, base.allocation, base.pr51, base.throughput, None, status)
+
+
+class _Cell(NamedTuple):
+    """One instance of an experiment and the shard counts its rows are made at.
+
+    ``instance`` is the status of every row when the cell could not be built.
+    Each method gets one row per entry of ``sigmas``, a fixed shard count or
+    ``None`` for none; with ``search`` set the row also runs the method's own
+    search for its best shard count. ``stats`` goes to the cell's sidecar file.
+    """
+    label: str
+    instance: ProblemInstance | str
+    sigmas: tuple[int | None, ...] = (None,)
+    search: bool = False
+    stats: dict | None = None
+
+
+def _cells(config: ExperimentConfig) -> Iterator[_Cell]:
+    if config.experiment_id == "mean_std_sweep":
+        # One generated instance per (mean, STD) cell, each at the full budget.
+        if config.gen is None:
+            raise InvariantViolation("mean_std_sweep requires a gen block")
+        grid = product(config.mean_grid, config.std_grid)
+        for idx, (mean, std) in enumerate(grid):
+            label = f"{config.label}_mean{mean:g}_std{std:g}"
+            gen_cfg = replace(config.gen, score_mean=mean, score_std=std,
+                              max_difference=max(1.0, 6.0 * std),
+                              rng_seed=config.rng_seed + 7919 * idx)
+            try:
+                instance = generate_instance(gen_cfg)
+            except GenerationFailure:
+                yield _Cell(label, "generation_failure", (config.gen.s_max,))
+                continue
+            stats = instance_stats(instance)
+            yield _Cell(label, instance, (instance.s_max,), stats={
+                "requested_mean": mean, "requested_std": std,
+                "achieved_mean": stats.mean, "achieved_std": stats.std,
+                "achieved_spread": stats.max_difference,
+                "total_score": stats.total_score})
+        return
+    base = (load_instance(config.instance_path) if config.instance_path is not None
+            else generate_instance(config.gen))
+    if config.experiment_id == "pr51_vs_shards":
+        yield _Cell(config.label, base, config.sigma_grid)
+    elif config.experiment_id == "throughput_and_time":
+        for s_max in config.s_max_grid:
+            yield _Cell(f"{config.label}_S{s_max}", base.with_s_max(s_max), search=True)
+    else:
+        # adv_prob_sweep: per scale factor, each method's risk at the full
+        # shard budget plus its best throughput. Scales pushing any
+        # probability to 0.5 or beyond are marked rather than evaluated.
+        for scale in config.scale_percents:
+            scaled_p = [p * scale / 100.0 for p in base.p_adv]
+            instance = ("domain_exceeded" if any(p >= 0.5 for p in scaled_p)
+                        else base.with_p_adv(scaled_p))
+            yield _Cell(f"{config.label}@{scale:g}%", instance, (base.s_max,),
+                        search=True)
+
+
 def _status_row(config: ExperimentConfig, label: str, method: str, sigma: int,
                 status: str) -> ResultRow:
     """A row that carries only a status: no risk, throughput, time or solves."""
@@ -257,204 +283,69 @@ def _status_row(config: ExperimentConfig, label: str, method: str, sigma: int,
                      None, None, status)
 
 
-def _guarded(config: ExperimentConfig, label: str, method: str, sigma: int,
-             build: Callable[[], ResultRow]) -> ResultRow:
-    """``build()``, with a too-large or failed computation as its status row."""
+def _failure_status(exc: ShardAllocError) -> str:
+    return "too_large" if isinstance(exc, InstanceTooLargeError) else "error"
+
+
+def _row(config: ExperimentConfig, out: Path, cell: _Cell, method: str,
+         sigma: int | None) -> ResultRow:
+    """One method's row on a cell, at a fixed shard count, from a search, or both.
+
+    A fixed count alone gives its allocation's risk and feasibility; a search
+    alone gives the best shard count found. Both give the risk at the fixed
+    count with the search's throughput, solves and status, and a failed search
+    keeps that risk. Any other failure gives a status row at the fixed count,
+    or at 0 without one.
+    """
+    at = 0 if sigma is None else sigma
+    if isinstance(cell.instance, str):
+        return _status_row(config, cell.label, method, at, cell.instance)
+    instance = cell.instance
+    start = time.perf_counter()
     try:
-        return build()
-    except InstanceTooLargeError:
-        return _status_row(config, label, method, sigma, "too_large")
-    except ShardAllocError:
-        return _status_row(config, label, method, sigma, "error")
-
-
-def _per_sigma_row(instance: ProblemInstance, method: str, sigma: int,
-                   config: ExperimentConfig, label: str,
-                   output_dir: Path) -> ResultRow:
-    return _guarded(config, label, method, sigma, lambda: _allocation_row(
-        instance, method, sigma, config, label, output_dir))
-
-
-def _allocation_row(instance: ProblemInstance, method: str, sigma: int,
-                    config: ExperimentConfig, label: str,
-                    output_dir: Path) -> ResultRow:
-    start = time.perf_counter()
-    alloc = _method_allocation(instance, method, sigma, config)
+        if sigma is None:
+            sigma, alloc, pr51, tput, solves, status = _search(instance, method, config)
+        else:
+            alloc = _method_allocation(instance, method, sigma, config)
+            pr51 = allocation_pr51(alloc)
+            if cell.search:
+                try:
+                    tput, solves, status = _search(instance, method, config)[3:]
+                except ShardAllocError as exc:
+                    tput, solves, status = None, None, _failure_status(exc)
+            else:
+                feasible = check_feasibility(alloc).feasible
+                tput = throughput(sigma, instance.t_per_shard) if feasible else None
+                solves, status = None, "feasible" if feasible else "infeasible"
+    except ShardAllocError as exc:
+        return _status_row(config, cell.label, method, at, _failure_status(exc))
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    pr51 = allocation_pr51(alloc)
-    feasible = check_feasibility(alloc).feasible
-    path = _alloc_path(output_dir, config.experiment_id, label, method, sigma)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_allocation_csv(alloc, path)
-    return ResultRow(
-        config.experiment_id, label, method, sigma, pr51,
-        throughput(sigma, instance.t_per_shard) if feasible else None,
-        elapsed_ms if config.record_wall_time else None, None,
-        "feasible" if feasible else "infeasible")
-
-
-def run_pr51_vs_shards(config: ExperimentConfig, output_dir: str | Path) -> list[ResultRow]:
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    instance = _load_base_instance(config)
-    _store_instance(instance, out, config.label)
-    jobs = [(method, sigma) for method in config.methods
-            for sigma in config.sigma_grid]
-    rows = _map_jobs(
-        lambda job: _per_sigma_row(instance, job[0], job[1], config,
-                                   config.label, out), jobs)
-    return rows
-
-
-def _optimizer_row(instance: ProblemInstance, method: str, config: ExperimentConfig,
-                   label: str, output_dir: Path, sigma_hint: int | None = None,
-                   save_alloc: bool = True) -> ResultRow:
-    return _guarded(config, label, method, sigma_hint or 0, lambda: _search_row(
-        instance, method, config, label, output_dir, save_alloc))
-
-
-def _search_row(instance: ProblemInstance, method: str, config: ExperimentConfig,
-                label: str, output_dir: Path, save_alloc: bool) -> ResultRow:
-    start = time.perf_counter()
-    if method in (METHOD_LGRN_REDERIVED, METHOD_LGRN_LITERAL):
-        variant = (StationarityVariant.REDERIVED
-                   if method == METHOD_LGRN_REDERIVED
-                   else StationarityVariant.LITERAL)
-        sol = optimize_sharding(instance, variant, SearchMode.BINARY)
-        status = sol.status.value
-        sigma_star, alloc, pr51 = sol.sigma_star, sol.allocation, sol.pr51
-        solves = sol.solves_performed
-        tput = sol.throughput
-    else:
-        base = run_baseline(
-            instance, BaselineMethod(method), budget=config.restart_budget,
-            grid_steps=config.grid_steps,
-            seed=_restart_seed(config.rng_seed, method, 0))
-        sigma_star, alloc, pr51 = base.sigma_star, base.allocation, base.pr51
-        status = {0: "unsafe", 1: "unsharded_safe"}.get(sigma_star, "sharded")
-        solves = None
-        tput = base.throughput
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    if save_alloc and alloc is not None:
-        path = _alloc_path(output_dir, config.experiment_id, label, method,
-                           sigma_star)
+    if alloc is not None:
+        path = _alloc_path(out, config.experiment_id, cell.label, method, sigma)
         path.parent.mkdir(parents=True, exist_ok=True)
         save_allocation_csv(alloc, path)
-    return ResultRow(config.experiment_id, label, method, sigma_star, pr51,
-                     tput, elapsed_ms if config.record_wall_time else None,
-                     solves, status)
-
-
-def run_throughput_and_time(config: ExperimentConfig,
-                            output_dir: str | Path) -> list[ResultRow]:
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    base = _load_base_instance(config)
-
-    def job(item: tuple[str, int]) -> ResultRow:
-        method, s_max = item
-        instance = base.with_s_max(s_max)
-        label = f"{config.label}_S{s_max}"
-        _store_instance(instance, out, label)
-        return _optimizer_row(instance, method, config, label, out)
-
-    jobs = [(method, s) for method in config.methods for s in config.s_max_grid]
-    return _map_jobs(job, jobs)
-
-
-def run_adv_prob_sweep(config: ExperimentConfig,
-                       output_dir: str | Path) -> list[ResultRow]:
-    """Per scale factor: each method's risk at the full shard budget plus its
-    best achievable throughput. Scales pushing any probability to 0.5 or
-    beyond are marked rather than evaluated."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    base = _load_base_instance(config)
-
-    def scaled_row(instance: ProblemInstance, label: str, method: str) -> ResultRow:
-        start = time.perf_counter()
-        alloc = _method_allocation(instance, method, base.s_max, config)
-        pr51 = allocation_pr51(alloc)
-        opt_row = _optimizer_row(instance, method, config, label, out,
-                                 sigma_hint=base.s_max, save_alloc=False)
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        path = _alloc_path(out, config.experiment_id, label, method, base.s_max)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_allocation_csv(alloc, path)
-        return ResultRow(config.experiment_id, label, method, base.s_max, pr51,
-                         opt_row.throughput_tx_s,
-                         elapsed_ms if config.record_wall_time else None,
-                         opt_row.solves, opt_row.status)
-
-    def job(item: tuple[float, str]) -> ResultRow:
-        scale, method = item
-        label = f"{config.label}@{scale:g}%"
-        scaled_p = [p * scale / 100.0 for p in base.p_adv]
-        if any(p >= 0.5 for p in scaled_p):
-            return _status_row(config, label, method, base.s_max, "domain_exceeded")
-        instance = base.with_p_adv(scaled_p)
-        _store_instance(instance, out, label)
-        return _guarded(config, label, method, base.s_max,
-                        lambda: scaled_row(instance, label, method))
-
-    jobs = [(scale, method) for scale in config.scale_percents
-            for method in config.methods]
-    return _map_jobs(job, jobs)
-
-
-def run_mean_std_sweep(config: ExperimentConfig,
-                       output_dir: str | Path) -> list[ResultRow]:
-    """Generate one instance per (mean, STD) cell and record each method's
-    risk at the full shard budget."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if config.gen is None:
-        raise InvariantViolation("mean_std_sweep requires a gen block")
-    cells = [(mean, std) for mean in config.mean_grid for std in config.std_grid]
-
-    def job(item: tuple[int, tuple[float, float]]) -> list[ResultRow]:
-        idx, (mean, std) = item
-        label = f"{config.label}_mean{mean:g}_std{std:g}"
-        gen_cfg = replace(config.gen, score_mean=mean, score_std=std,
-                          max_difference=max(1.0, 6.0 * std),
-                          rng_seed=config.rng_seed + 7919 * idx)
-        try:
-            instance = generate_instance(gen_cfg)
-        except GenerationFailure:
-            return [_status_row(config, label, method, config.gen.s_max,
-                                "generation_failure")
-                    for method in config.methods]
-        _store_instance(instance, out, label)
-        stats = instance_stats(instance)
-        rows = []
-        for method in config.methods:
-            row = _per_sigma_row(instance, method, instance.s_max, config,
-                                 label, out)
-            rows.append(row)
-        # Instance statistics travel in a sidecar file, one per cell.
-        (out / f"stats__{_safe_label(label)}.json").write_text(json.dumps({
-            "requested_mean": mean, "requested_std": std,
-            "achieved_mean": stats.mean, "achieved_std": stats.std,
-            "achieved_spread": stats.max_difference,
-            "total_score": stats.total_score}, indent=2) + "\n")
-        return rows
-
-    nested = _map_jobs(job, list(enumerate(cells)))
-    return [row for group in nested for row in group]
-
-
-_RUNNERS = {
-    "pr51_vs_shards": run_pr51_vs_shards,
-    "throughput_and_time": run_throughput_and_time,
-    "adv_prob_sweep": run_adv_prob_sweep,
-    "mean_std_sweep": run_mean_std_sweep,
-}
+    return ResultRow(config.experiment_id, cell.label, method, sigma, pr51, tput,
+                     elapsed_ms if config.record_wall_time else None, solves, status)
 
 
 def run_experiment(config: ExperimentConfig, output_dir: str | Path) -> Path:
-    """Run one experiment and write its CSV; returns the CSV path."""
-    rows = _RUNNERS[config.experiment_id](config, output_dir)
-    csv_path = Path(output_dir) / f"{config.experiment_id}.csv"
+    """Run one experiment and write its CSV; returns the CSV path.
+
+    Each cell's instance file is written once, before its rows are computed.
+    """
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows: list[ResultRow] = []
+    for cell in _cells(config):
+        name = _safe_label(cell.label)
+        if not isinstance(cell.instance, str):
+            save_instance(cell.instance, out / f"instance__{name}.json")
+        if cell.stats is not None:
+            (out / f"stats__{name}.json").write_text(
+                json.dumps(cell.stats, indent=2) + "\n")
+        rows += [_row(config, out, cell, method, sigma)
+                 for method in config.methods for sigma in cell.sigmas]
+    csv_path = out / f"{config.experiment_id}.csv"
     write_rows(rows, csv_path)
     return csv_path
 
@@ -464,15 +355,16 @@ def revalidate_results(output_dir: str | Path) -> list[str]:
 
     A row whose allocation file is missing is a problem unless its status is
     ``unsafe``: the search stores no allocation then, and the reported risk is
-    the single-shard bound of the instance. A missing instance file, a
-    malformed row, a CSV that is not UTF-8 text and a directory without any
-    result CSV are always problems. Each instance file is loaded once per
-    call. Returns human-readable problem descriptions (empty = clean).
+    the single-shard bound of the instance. A missing instance file, an
+    instance or allocation file that does not load, a malformed row, a CSV
+    that is not UTF-8 text and a directory without any result CSV are always
+    problems; the check goes on past each. Each instance file is loaded once
+    per call. Returns human-readable problem descriptions (empty = clean).
     """
     out = Path(output_dir)
     problems: list[str] = []
     result_files = 0
-    instances: dict[Path, ProblemInstance] = {}
+    instances: dict[Path, ProblemInstance | str] = {}
     for csv_path in sorted(out.glob("*.csv")):
         try:
             lines = csv_path.read_text(encoding="utf-8").splitlines()
@@ -492,7 +384,7 @@ def revalidate_results(output_dir: str | Path) -> list[str]:
 
 
 def _revalidate_row(out: Path, parts: list[str],
-                    instances: dict[Path, ProblemInstance]) -> str | None:
+                    instances: dict[Path, ProblemInstance | str]) -> str | None:
     if len(parts) != len(CSV_HEADER):
         return f"row with {len(parts)} fields, expected {len(CSV_HEADER)}: {parts!r}"
     experiment_id, label, method, sigma_s, pr51_s = parts[:5]
@@ -508,11 +400,20 @@ def _revalidate_row(out: Path, parts: list[str],
     if inst_path not in instances:
         if not inst_path.exists():
             return f"{where}: instance file {inst_path.name} missing"
-        instances[inst_path] = load_instance(inst_path)
+        try:
+            instances[inst_path] = load_instance(inst_path)
+        except ShardAllocError as exc:
+            instances[inst_path] = f"instance file {inst_path.name} unreadable: {exc}"
     instance = instances[inst_path]
+    if isinstance(instance, str):
+        return f"{where}: {instance}"
     alloc_path = _alloc_path(out, experiment_id, label, method, sigma)
     if alloc_path.exists():
-        recomputed = allocation_pr51(load_allocation_csv(alloc_path, instance))
+        try:
+            alloc = load_allocation_csv(alloc_path, instance)
+        except ShardAllocError as exc:
+            return f"{where}: allocation file {alloc_path.name} unreadable: {exc}"
+        recomputed = allocation_pr51(alloc)
     elif status == "unsafe":
         recomputed = allocation_pr51(uniform_split(instance, 1))
     else:

@@ -419,9 +419,12 @@ def load_allocation_csv(path: str | Path, instance: ProblemInstance) -> Allocati
     """Read a table written by :func:`save_allocation_csv`.
 
     The file must hold every (shard, mu_id) pair for shards 0..max exactly
-    once, with mu_ids of ``instance``; anything else is ``MalformedFileError``.
+    once, with mu_ids of ``instance``, each line as three fields written the
+    way the saver writes them; anything else is ``MalformedFileError``.
     """
-    col_of = {mu_id: n for n, mu_id in enumerate(instance.mu_ids)}
+    # Keyed by the text the saver writes, so another spelling of an id that
+    # int() would accept, such as "+1", "01" or "1_0", is unknown.
+    col_of = {str(mu_id): n for n, mu_id in enumerate(instance.mu_ids)}
     shards: list[int] = []
     cols: list[int] = []
     scores: list[float] = []
@@ -431,16 +434,22 @@ def load_allocation_csv(path: str | Path, instance: ProblemInstance) -> Allocati
             header = next(reader)
             if header != ["shard", "mu_id", "score"]:
                 raise MalformedFileError(f"unexpected allocation header {header!r}")
-            for rec in reader:
-                shard, mu_id, score = int(rec[0]), int(rec[1]), float(rec[2])
-                col = col_of.get(mu_id)
+            for shard_s, mu_s, score_s in reader:
+                shard, col, score = int(shard_s), col_of.get(mu_s), float(score_s)
                 if col is None:
                     raise MalformedFileError(
-                        f"allocation references unknown mu_id {mu_id}")
+                        f"allocation line {reader.line_num} references an unknown "
+                        f"mu_id: {path}")
+                # int() and float() also read forms the saver never writes,
+                # such as "1_0", " +1 " or non-ASCII digits.
+                if (str(shard) != shard_s or "_" in score_s or not score_s.isascii()
+                        or score_s.strip() != score_s):
+                    raise MalformedFileError(
+                        f"allocation line {reader.line_num} is not as saved: {path}")
                 shards.append(shard)
                 cols.append(col)
                 scores.append(score)
-    except (ValueError, IndexError, StopIteration, csv.Error) as exc:
+    except (ValueError, StopIteration, csv.Error) as exc:
         raise MalformedFileError(f"allocation file malformed: {path}") from exc
     if not shards:
         raise MalformedFileError(f"allocation file empty: {path}")

@@ -167,6 +167,23 @@ class TestValidate:
         assert cli_dispatch(["validate", "--results", str(out_dir)]) == 2
         assert "FAIL revalidate: zz.csv: not UTF-8 text" in capsys.readouterr().out
 
+    def test_broken_instance_file_does_not_stop_validation(self, tmp_path,
+                                                           instance_file, capsys):
+        cfg = {"experiment_id": "pr51_vs_shards", "label": "t",
+               "methods": ["uniform"], "sigma_grid": [1, 2],
+               "instance_path": str(instance_file)}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli_dispatch(["experiment", "pr51_vs_shards", "--config",
+                             str(cfg_path), "--output-dir", str(out_dir)]) == 0
+        (out_dir / "instance__t.json").write_text("{")
+        (out_dir / "extra.csv").write_bytes(b"\xff\xfe\n")
+        assert cli_dispatch(["validate", "--results", str(out_dir)]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL revalidate: extra.csv: not UTF-8 text" in out
+        assert out.count("instance file instance__t.json unreadable") == 2
+
     def test_comma_label_rejected(self, tmp_path, instance_file):
         cfg = {"experiment_id": "pr51_vs_shards", "label": "a,b",
                "methods": ["uniform"], "sigma_grid": [1],

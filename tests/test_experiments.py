@@ -6,7 +6,7 @@ import json
 import pytest
 
 from shardalloc import experiments
-from shardalloc.errors import InvariantViolation
+from shardalloc.errors import InvariantViolation, NumericalFailure
 from shardalloc.experiments import (config_from_dict, config_to_dict,
                                     revalidate_results, run_experiment)
 from shardalloc.model import (InstanceGenConfig, generate_instance, load_instance,
@@ -152,6 +152,33 @@ class TestRevalidation:
         run_experiment(pr51_config(), tmp_path)
         (tmp_path / "notes.csv").write_bytes(b"caf\xe9\n")
         assert revalidate_results(tmp_path) == ["notes.csv: not UTF-8 text"]
+
+    def test_every_problem_listed_past_a_broken_instance_file(self, tmp_path):
+        run_experiment(pr51_config(methods=["uniform"], sigma_grid=[1, 2]),
+                       tmp_path)
+        (tmp_path / "instance__t.json").write_text("{")
+        (tmp_path / "extra.csv").write_bytes(b"caf\xe9\n")
+        problems = revalidate_results(tmp_path)
+        assert problems[0] == "extra.csv: not UTF-8 text"
+        assert len(problems) == 3
+        assert all("instance file instance__t.json unreadable" in p
+                   for p in problems[1:])
+
+    @pytest.mark.parametrize("first_row", [
+        "1_0,0,1.0",  # not as saved: MalformedFileError
+        "0,0,nan",    # a non-finite score: InvariantViolation
+    ])
+    def test_unreadable_allocation_file_reported(self, tmp_path, first_row):
+        run_experiment(pr51_config(methods=["uniform"], sigma_grid=[1, 2]),
+                       tmp_path)
+        broken = tmp_path / "allocs" / "pr51_vs_shards__t__uniform__s2.csv"
+        lines = broken.read_text().splitlines()
+        lines[1] = first_row
+        broken.write_text("\n".join(lines) + "\n")
+        problems = revalidate_results(tmp_path)
+        assert len(problems) == 1
+        assert "allocation file pr51_vs_shards__t__uniform__s2.csv unreadable" \
+            in problems[0]
 
     def test_each_instance_file_loaded_once(self, tmp_path, monkeypatch):
         loads = []
@@ -302,3 +329,91 @@ class TestMeanStdSweep:
         rows = read_rows(run_experiment(cfg, tmp_path))
         # Equal scores: bound reduces to exp(-2*(0.5-p)^2*N).
         assert float(rows[0]["pr51"]) == pytest.approx(math.exp(-16.0), rel=1e-9)
+
+
+class TestRowShapes:
+    """Every row shape of the harness: fixed sigma, search, fixed S plus search."""
+
+    def run(self, tmp_path, **spec):
+        cfg = config_from_dict({"label": "t", "gen": gen_block(), "rng_seed": 1,
+                                **spec})
+        return read_rows(run_experiment(cfg, tmp_path))
+
+    @staticmethod
+    def empty(row, *columns):
+        return all(row[c] == "" for c in columns)
+
+    def test_too_large_at_each_grid_sigma(self, tmp_path):
+        rows = self.run(tmp_path, experiment_id="pr51_vs_shards",
+                        methods=["exhaustive"], sigma_grid=[1, 2, 4])
+        assert [(r["sigma"], r["status"]) for r in rows] == [
+            ("1", "too_large"), ("2", "too_large"), ("4", "too_large")]
+        assert all(self.empty(r, "pr51", "throughput_tx_s", "solves") for r in rows)
+
+    def test_too_large_search_at_sigma_zero(self, tmp_path):
+        rows = self.run(tmp_path, experiment_id="throughput_and_time",
+                        methods=["exhaustive"], s_max_grid=[2, 4])
+        assert [(r["instance_label"], r["sigma"], r["status"]) for r in rows] == [
+            ("t_S2", "0", "too_large"), ("t_S4", "0", "too_large")]
+        assert all(self.empty(r, "pr51", "throughput_tx_s", "solves") for r in rows)
+
+    def test_too_large_adv_row_at_s_without_pr51(self, tmp_path):
+        rows = self.run(tmp_path, experiment_id="adv_prob_sweep",
+                        methods=["exhaustive"], scale_percents=[100])
+        assert [(r["sigma"], r["status"]) for r in rows] == [("8", "too_large")]
+        assert self.empty(rows[0], "pr51", "throughput_tx_s", "solves")
+
+    def test_generation_failure_cells_write_no_files(self, tmp_path):
+        rows = self.run(tmp_path, experiment_id="mean_std_sweep",
+                        methods=["lgrn_rederived", "uniform"],
+                        mean_grid=[1, 30], std_grid=[50])
+        failed = [r for r in rows if r["instance_label"] == "t_mean1_std50"]
+        assert [(r["sigma"], r["status"]) for r in failed] == [
+            ("8", "generation_failure")] * 2
+        assert all(self.empty(r, "pr51", "throughput_tx_s", "solves") for r in failed)
+        assert not list(tmp_path.glob("*mean1_std50*"))
+
+    @staticmethod
+    def failing_search(monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalFailure("residual too large")
+
+        monkeypatch.setattr(experiments, "optimize_sharding", fail)
+
+    def test_error_in_adv_search_keeps_fixed_pr51(self, tmp_path, monkeypatch):
+        spec = dict(experiment_id="adv_prob_sweep", methods=["lgrn_rederived"],
+                    scale_percents=[100])
+        clean = self.run(tmp_path / "clean", **spec)[0]
+        self.failing_search(monkeypatch)
+        row = self.run(tmp_path / "failed", **spec)[0]
+        assert (row["sigma"], row["status"]) == ("8", "error")
+        assert row["pr51"] == clean["pr51"] != ""
+        assert self.empty(row, "throughput_tx_s", "solves")
+        assert revalidate_results(tmp_path / "failed") == []
+
+    def test_error_in_search_gives_empty_row_at_sigma_zero(self, tmp_path,
+                                                           monkeypatch):
+        self.failing_search(monkeypatch)
+        rows = self.run(tmp_path, experiment_id="throughput_and_time",
+                        methods=["lgrn_literal"], s_max_grid=[4])
+        assert [(r["sigma"], r["status"]) for r in rows] == [("0", "error")]
+        assert self.empty(rows[0], "pr51", "throughput_tx_s", "wall_time_ms",
+                          "solves")
+
+    @pytest.mark.parametrize("spec, labels", [
+        ({"experiment_id": "throughput_and_time", "s_max_grid": [2, 4]},
+         ["t_S2", "t_S4"]),
+        ({"experiment_id": "adv_prob_sweep", "scale_percents": [100, 200, 600]},
+         ["t@100%", "t@200%"]),
+    ])
+    def test_each_instance_file_written_once(self, tmp_path, monkeypatch, spec,
+                                             labels):
+        saved = []
+
+        def counting_save(instance, path):
+            saved.append(path.name)
+            save_instance(instance, path)
+
+        monkeypatch.setattr(experiments, "save_instance", counting_save)
+        self.run(tmp_path, methods=["lgrn_rederived", "uniform", "greedy"], **spec)
+        assert sorted(saved) == [f"instance__{label}.json" for label in labels]

@@ -232,6 +232,39 @@ class TestAllocation:
         with pytest.raises(MalformedFileError, match="missing"):
             load_allocation_csv(self._csv(tmp_path, rows), small_instance)
 
+    def test_csv_underscore_shard_rejected(self, tmp_path, small_instance):
+        # int("1_0") is 10: an 11-shard file with shard 10 written "1_0" used
+        # to load as sigma 11.
+        alloc = Allocation(small_instance, np.ones((11, 4)))
+        path = tmp_path / "alloc.csv"
+        save_allocation_csv(alloc, path)
+        assert load_allocation_csv(path, small_instance).sigma == 11
+        path.write_text(path.read_text().replace("\n10,", "\n1_0,"))
+        with pytest.raises(MalformedFileError, match="not as saved"):
+            load_allocation_csv(path, small_instance)
+
+    @pytest.mark.parametrize("first_line", [
+        " +0 ,0,1.0",   # padded, signed shard
+        "0,0,2_7.6",    # score with a digit separator (float reads 27.6)
+        "00,0,1.0",     # zero-padded shard
+        "-0,0,1.0",     # signed zero shard
+        "0,+0,1.0",     # signed mu_id
+        "0, 0,1.0",     # padded mu_id
+        "0,0, 1.0",     # padded score
+        "0,0,1.0 ",     # score with trailing space
+        "0,0,١.0",  # non-ASCII digit in the score (float reads 1.0)
+        "0,0,1.0,1",    # a fourth field
+        "0,0",          # a missing field
+    ])
+    def test_csv_unsaved_forms_rejected(self, tmp_path, small_instance, first_line):
+        rows = [(s, mu, 1.0) for s in (0, 1) for mu in range(4)]
+        path = self._csv(tmp_path, rows)
+        assert load_allocation_csv(path, small_instance).sigma == 2
+        text = path.read_text().replace("\n0,0,1.0\n", f"\n{first_line}\n", 1)
+        path.write_text(text)
+        with pytest.raises(MalformedFileError):
+            load_allocation_csv(path, small_instance)
+
     def test_csv_field_over_the_csv_module_limit(self, tmp_path, small_instance):
         path = self._csv(tmp_path, [(0, mu, 1.0) for mu in range(4)])
         path.write_text(path.read_text() + "0,0," + "1" * 200_000 + "\n")
