@@ -112,10 +112,13 @@ def _restart_search(instance: ProblemInstance, sigma: int, tau: float | None,
     if budget < 1:
         raise InvariantViolation("budget must be >= 1")
     drawn = 0
+    previous = None
     for alloc in _dirichlet_allocations(instance, sigma, budget, seed):
         drawn += 1
-        if check_feasibility(alloc, tau).feasible:
+        # sigma = 1 repeats one table, whose verdict is already known.
+        if alloc is not previous and check_feasibility(alloc, tau).feasible:
             return alloc, drawn
+        previous = alloc
     return None, drawn
 
 
@@ -130,6 +133,8 @@ def random_restart_best(instance: ProblemInstance, sigma: int,
     best_pr51 = math.inf
     any_feasible = False
     for alloc in _dirichlet_allocations(instance, sigma, budget, seed):
+        if alloc is best_alloc:  # sigma = 1 repeats one table, already evaluated
+            continue
         pr51 = allocation_pr51(alloc)
         if pr51 < best_pr51:
             best_alloc, best_pr51 = alloc, pr51

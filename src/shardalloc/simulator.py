@@ -10,6 +10,7 @@ the instance, the epoch configuration, and the optimizer settings.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import json
@@ -117,9 +118,9 @@ def _election_point(seed: bytes, slot: int) -> float:
     return int.from_bytes(_digest(seed, _int_bytes(slot)), "big") / _TWO_256
 
 
-def _pick(cumulative: np.ndarray, ids: Sequence[int], unit_point: float) -> int:
+def _pick(cumulative: Sequence[float], ids: Sequence[int], unit_point: float) -> int:
     point = unit_point * cumulative[-1]
-    idx = int(np.searchsorted(cumulative, point, side="right"))
+    idx = bisect.bisect_right(cumulative, point)
     return ids[min(idx, len(ids) - 1)]
 
 
@@ -130,7 +131,7 @@ def elect_leader(shard_scores: Sequence[tuple[int, float]], seed: bytes,
     scores = np.array([s for _, s in shard_scores], dtype=np.float64)
     if scores.size == 0 or np.any(scores < 0) or scores.sum() <= 0:
         raise EmptyShardError("leader election needs at least one positive score")
-    return _pick(np.cumsum(scores), ids, _election_point(seed, slot))
+    return _pick(np.cumsum(scores).tolist(), ids, _election_point(seed, slot))
 
 
 def next_seed(prev_seed: bytes, epoch: int, shard_index: int) -> bytes:
@@ -226,11 +227,26 @@ def _corruption_view(instance: ProblemInstance, corrupted: set[int]) -> ProblemI
     return instance.with_p_adv(p)
 
 
+def _lotteries(allocation: Allocation, mu_ids: Sequence[int]
+               ) -> list[tuple[list[float], list[int]]]:
+    """Each shard's cumulative positive scores and their user ids, for ``_pick``."""
+    lotteries = []
+    for row in allocation.table:
+        positive = row > 0
+        lotteries.append((np.cumsum(row[positive]).tolist(),
+                          [mu_ids[n] for n in np.flatnonzero(positive)]))
+    return lotteries
+
+
 def run_simulation(instance: ProblemInstance, config: EpochConfig,
                    settings: OptimizerSettings = OptimizerSettings(),
                    ) -> SimulationReport:
     """Drive the epoch loop; abort with a state dump if reconfiguration ever
-    finds the network unsafe even as a single shard."""
+    finds the network unsafe even as a single shard.
+
+    Each distinct corrupted set is solved once per call: a later reconfiguration
+    with the same set reuses that solution, which a recomputation would
+    reproduce bit for bit. It still counts as a reconfiguration."""
     rng = np.random.default_rng(config.rng_seed)
     mu_ids = instance.mu_ids
     id_arr = np.array(mu_ids)
@@ -240,6 +256,8 @@ def run_simulation(instance: ProblemInstance, config: EpochConfig,
         fixed_adversaries = {int(m) for m in id_arr[mask]}
     state = NetworkState(instance=instance, allocation=uniform_split(instance, 1),
                          seeds=initial_seeds(config.rng_seed, 1))
+    lotteries = _lotteries(state.allocation, mu_ids)
+    solutions: dict[frozenset[int], ShardingSolution] = {}
     reports: list[EpochReport] = []
     leader_counts: dict[int, int] = {}
     sigma_history: list[int] = []
@@ -255,9 +273,12 @@ def run_simulation(instance: ProblemInstance, config: EpochConfig,
         apply_corruptions(state, epoch, rng=rng, config=config)
         reconfigured = False
         if epoch % config.reconfigure_every == 0:
-            view = _corruption_view(instance, state.corrupted)
-            solution: ShardingSolution = optimize_sharding(
-                view, settings.variant, settings.search_mode)
+            key = frozenset(state.corrupted)
+            solution = solutions.get(key)
+            if solution is None:
+                solution = solutions[key] = optimize_sharding(
+                    _corruption_view(instance, state.corrupted),
+                    settings.variant, settings.search_mode)
             if solution.status is SolutionStatus.UNSAFE:
                 aborted = True
                 abort_epoch = epoch
@@ -274,6 +295,7 @@ def run_simulation(instance: ProblemInstance, config: EpochConfig,
                                  *state.seeds)
                 state.seeds = remap_seeds(state.seeds, new_sigma, beacon)
             state.allocation = solution.allocation
+            lotteries = _lotteries(state.allocation, mu_ids)
             reconfigured = True
             reconfigurations += 1
         sigma = state.allocation.sigma
@@ -300,9 +322,7 @@ def run_simulation(instance: ProblemInstance, config: EpochConfig,
                     attacked.add(s)
                     attacked_pairs += 1
                 fraction_sum += frac
-            positive = table[s] > 0
-            ids = [mu_ids[n] for n in np.flatnonzero(positive)]
-            cum = np.cumsum(table[s][positive])
+            cum, ids = lotteries[s]
             slot_leaders = tuple(
                 _pick(cum, ids, _election_point(state.seeds[s], slot))
                 for slot in range(config.slots_per_epoch))

@@ -192,6 +192,33 @@ class TestRunBaseline:
         assert result.sigma_star == 0
         assert result.samples_tried == len(drawn) == 5 * small_instance.s_max
 
+    def test_sigma_one_table_evaluated_once(self, monkeypatch, small_instance):
+        # At sigma = 1 every draw is the same table: one verdict, five draws.
+        calls = []
+
+        def counting(name):
+            original = getattr(baselines, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(baselines, name, wrapper)
+
+        counting("check_feasibility")
+        counting("allocation_pr51")
+        drawn = self._count_samples(monkeypatch)
+        result = run_baseline(small_instance, BaselineMethod.RANDOM_RESTART, budget=5)
+        assert result.samples_tried == 5 * small_instance.s_max
+        assert len(drawn) == result.samples_tried
+        restarts = small_instance.s_max - 1  # sigma = S..2, each budget draws
+        assert calls.count("check_feasibility") == 5 * restarts + 1
+        calls.clear()
+        _, pr51, feasible = baselines.random_restart_best(small_instance, 1, budget=5)
+        assert calls == ["allocation_pr51", "check_feasibility"]
+        assert pr51 == allocation_pr51(uniform_split(small_instance, 1))
+        assert not feasible
+
 
 def _law_allocation(kind, inst, sigma, rng):
     if kind == "uniform":

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shardalloc import simulator
 from shardalloc.errors import EmptyShardError
 from shardalloc.baselines import uniform_split
 from shardalloc.bounds import ShardColumn, attack_bound
@@ -14,7 +17,8 @@ from shardalloc.simulator import (CORRUPTED_P_ADV, POISSON_LAM_MAX, EpochConfig,
                                   NetworkState, apply_corruptions, elect_leader,
                                   epoch_config_from_dict, epoch_config_to_dict,
                                   initial_seeds, leader_election_gof,
-                                  next_seed, remap_seeds, run_simulation)
+                                  next_seed, remap_seeds, run_simulation,
+                                  write_epoch_csv)
 from conftest import equal_score_instance
 
 SEED = b"\x07" * 32
@@ -254,3 +258,108 @@ class TestRunSimulation:
         report = run_simulation(inst, cfg)
         assert report.sigma_history == (2, 2, 2, 2)
         assert report.leader_counts == ((0, 8), (1, 4), (2, 3), (3, 5), (4, 4))
+
+
+def _count_solves(monkeypatch):
+    views = []
+    original = simulator.optimize_sharding
+
+    def counting(view, *args):
+        views.append(view)
+        return original(view, *args)
+
+    monkeypatch.setattr(simulator, "optimize_sharding", counting)
+    return views
+
+
+class TestSolveMemo:
+    CFG = EpochConfig(epochs=40, slots_per_epoch=2, corruption_rate=0.3,
+                      corruption_delay=1, reconfigure_every=2, rng_seed=4)
+
+    def _scheduled_sets(self, inst, cfg):
+        # Replays the corruption stream; with adversary mode "none" it is the
+        # only consumer of the run's generator.
+        state = NetworkState(instance=inst, allocation=uniform_split(inst, 1),
+                             seeds=initial_seeds(0, 1))
+        rng = np.random.default_rng(cfg.rng_seed)
+        sets = set()
+        for epoch in range(cfg.epochs):
+            apply_corruptions(state, epoch, rng=rng, config=cfg)
+            if epoch % cfg.reconfigure_every == 0:
+                sets.add(frozenset(state.corrupted))
+        return sets
+
+    def test_each_corrupted_set_solved_once(self, monkeypatch, tmp_path):
+        inst = equal_score_instance(30, p=0.05, tau=0.5, s_max=4)
+        views = _count_solves(monkeypatch)
+        report = run_simulation(inst, self.CFG)
+        assert not report.aborted
+        scheduled = math.ceil(self.CFG.epochs / self.CFG.reconfigure_every)
+        sets = self._scheduled_sets(inst, self.CFG)
+        assert 1 < len(sets) < scheduled
+        assert len(views) == len(sets)
+        assert report.reconfigurations == scheduled
+        write_epoch_csv(report, tmp_path / "epochs.csv")
+        with open(tmp_path / "epochs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            expected = int(row["epoch"]) % self.CFG.reconfigure_every == 0
+            assert row["reconfigured"] == str(int(expected))
+
+    def test_no_memo_across_runs(self, monkeypatch):
+        inst = equal_score_instance(30, p=0.05, tau=0.5, s_max=4)
+        views = _count_solves(monkeypatch)
+        first = run_simulation(inst, self.CFG)
+        solved_once = len(views)
+        assert run_simulation(inst, self.CFG) == first
+        assert len(views) == 2 * solved_once
+
+
+class TestSeedRemap:
+    def test_sigma_following_the_corrupted_set(self, monkeypatch):
+        # sigma* moves only at the law's knife edge; force it to follow the
+        # corrupted set so the seed remap runs, growing and shrinking.
+        original = simulator.optimize_sharding
+
+        def moving_sigma(view, *args):
+            corrupted = int(np.sum(view.p_adv_array == CORRUPTED_P_ADV))
+            sigma = 1 + corrupted % 3
+            return replace(original(view, *args), sigma_star=sigma,
+                           allocation=uniform_split(view, sigma))
+
+        remaps = []
+        original_remap = simulator.remap_seeds
+
+        def recording_remap(old, new_sigma, beacon):
+            seeds = original_remap(old, new_sigma, beacon)
+            remaps.append((len(old), len(seeds)))
+            return seeds
+
+        monkeypatch.setattr(simulator, "optimize_sharding", moving_sigma)
+        monkeypatch.setattr(simulator, "remap_seeds", recording_remap)
+        inst = equal_score_instance(20, p=0.05, tau=0.5, s_max=3)
+        cfg = EpochConfig(epochs=30, slots_per_epoch=3, corruption_rate=0.4,
+                          corruption_delay=1, reconfigure_every=2, rng_seed=6)
+        report = run_simulation(inst, cfg)
+        assert not report.aborted
+        assert any(new > old for old, new in remaps)
+        assert any(new < old for old, new in remaps)
+        for epoch, sigma in enumerate(report.sigma_history):
+            assert len(report.epoch_reports[epoch].leaders) == sigma
+        assert run_simulation(inst, cfg) == report
+
+
+def test_adversary_half_share_is_an_attack():
+    # Two equal scores in one shard: one adversary holds exactly half.
+    from shardalloc.model import EngagementProfile, ProblemInstance, UNIT_WEIGHTS
+    profiles = (EngagementProfile(0, 5.0, 0, 0), EngagementProfile(1, 5.0, 0, 0))
+    inst = ProblemInstance(profiles, UNIT_WEIGHTS, (0.3, 0.3), 0.9, 1, 100.0)
+    cfg = EpochConfig(epochs=40, slots_per_epoch=1, rng_seed=8,
+                      adversary_mode="per_epoch", reconfigure_every=100)
+    report = run_simulation(inst, cfg)
+    halves = [ep for ep in report.epoch_reports if ep.adversary_fractions == (0.5,)]
+    assert halves
+    assert all(ep.attacked_shards == frozenset({0}) for ep in halves)
+    attacked = sum(ep.adversary_fractions[0] >= 0.5 for ep in report.epoch_reports)
+    assert report.attacked_pairs == attacked

@@ -19,7 +19,12 @@ relative paths, so the captured stdout and stderr compare too. What is written:
   each directory's ``revalidate_results`` list;
 - 16 ``solve`` JSONs without ``wall_time_ms`` (N=40 and 60, S=20, tau 1e-3
   and 1e-30, both variants, both search modes) and their allocation CSVs;
-- two ``simulate`` reports with their epoch CSVs.
+- 16 ``simulate`` reports with their epoch CSVs: one from a config file, one
+  from flags, twelve on an N=30, tau=0.05 instance that stays safe (both
+  variants, each adversary mode, reconfiguring every epoch and every fifth,
+  so corrupted sets recur between reconfigurations), one that aborts when
+  corruption makes even one shard unsafe, and one at the ``simulate``
+  benchmark's size (N=50, S=10, 200 epochs of 8 slots).
 
 Only the standard library and the shardalloc under ``SRC_DIR`` are used. BLAS
 thread counts that are not set default to 1, because output bits depend on
@@ -133,6 +138,29 @@ def main(argv: list[str]) -> int:
         "--corruption-rate", "0.5", "--reconfigure-every", "3",
         "--adversary-mode", "fixed", "--seed", "5",
         "-o", "simulate/flags_report.json", "--csv", "simulate/flags_epochs.csv")
+    run("gen", "--nodes", "30", "--mean", "36.8", "--std", "6.7", "--max-diff", "80.4",
+        "--tau", "0.05", "--s-max", "8", "--seed", "4", "-o", "simulate/safe_inst.json")
+    for variant in ("rederived", "literal"):
+        for mode in ("none", "fixed", "per_epoch"):
+            for every in (1, 5):
+                name = f"simulate/{variant}_{mode}_every{every}"
+                run("simulate", "simulate/safe_inst.json", "--epochs", "20", "--slots", "3",
+                    "--corruption-rate", "0.5", "--corruption-delay", "1",
+                    "--reconfigure-every", str(every), "--adversary-mode", mode,
+                    "--seed", "7", "--variant", variant,
+                    "-o", f"{name}.json", "--csv", f"{name}.csv")
+    run("gen", "--nodes", "12", "--mean", "36.8", "--std", "6.7", "--max-diff", "80.4",
+        "--p-adv", "0.05", "--tau", "0.01", "--s-max", "4", "--seed", "2",
+        "-o", "simulate/abort_inst.json")
+    run("simulate", "simulate/abort_inst.json", "--epochs", "200", "--slots", "2",
+        "--corruption-rate", "0.5", "--corruption-delay", "1", "--seed", "3",
+        "-o", "simulate/abort_report.json", "--csv", "simulate/abort_epochs.csv")
+    run("gen", "--nodes", "50", "--mean", "36.8", "--std", "6.7", "--max-diff", "80.4",
+        "--s-max", "10", "--seed", "6", "-o", "simulate/bench_inst.json")
+    run("simulate", "simulate/bench_inst.json", "--epochs", "200", "--slots", "8",
+        "--corruption-rate", "0.03", "--corruption-delay", "2", "--reconfigure-every", "5",
+        "--adversary-mode", "per_epoch", "--seed", "11",
+        "-o", "simulate/bench_report.json", "--csv", "simulate/bench_epochs.csv")
     Path("commands.log").write_text("".join(log))
     return 0
 
