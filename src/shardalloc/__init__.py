@@ -31,8 +31,8 @@ from .baselines import (BaselineMethod, BaselineResult, exhaustive_search,
                         greedy_round_robin, random_restart_feasibility,
                         run_baseline, uniform_split)
 from .simulator import (EpochConfig, EpochReport, NetworkState,
-                        OptimizerSettings, SimulationReport, apply_corruptions,
-                        elect_leader, next_seed, remap_seeds, run_simulation)
+                        SimulationReport, apply_corruptions, elect_leader,
+                        next_seed, remap_seeds, run_simulation)
 from .experiments import (ExperimentConfig, ResultRow, revalidate_results,
                           run_experiment)
 

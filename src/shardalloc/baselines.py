@@ -99,15 +99,14 @@ def _dirichlet_allocations(instance: ProblemInstance, sigma: int, budget: int,
 
 
 def random_restart_feasibility(instance: ProblemInstance, sigma: int,
-                               tau: float | None = None,
                                budget: int = DEFAULT_RESTART_BUDGET,
                                seed: int = 0) -> Allocation | None:
     """First sampled allocation that passes the feasibility check, if any."""
-    return _restart_search(instance, sigma, tau, budget, seed)[0]
+    return _restart_search(instance, sigma, budget, seed)[0]
 
 
-def _restart_search(instance: ProblemInstance, sigma: int, tau: float | None,
-                    budget: int, seed: int) -> tuple[Allocation | None, int]:
+def _restart_search(instance: ProblemInstance, sigma: int, budget: int,
+                    seed: int) -> tuple[Allocation | None, int]:
     """First feasible sample, if any, and the number of samples drawn."""
     if budget < 1:
         raise InvariantViolation("budget must be >= 1")
@@ -116,14 +115,13 @@ def _restart_search(instance: ProblemInstance, sigma: int, tau: float | None,
     for alloc in _dirichlet_allocations(instance, sigma, budget, seed):
         drawn += 1
         # sigma = 1 repeats one table, whose verdict is already known.
-        if alloc is not previous and check_feasibility(alloc, tau).feasible:
+        if alloc is not previous and check_feasibility(alloc).feasible:
             return alloc, drawn
         previous = alloc
     return None, drawn
 
 
 def random_restart_best(instance: ProblemInstance, sigma: int,
-                        tau: float | None = None,
                         budget: int = DEFAULT_RESTART_BUDGET,
                         seed: int = 0) -> tuple[Allocation, float, bool]:
     """Lowest-risk sample from the same stream; reports whether any was feasible."""
@@ -138,7 +136,7 @@ def random_restart_best(instance: ProblemInstance, sigma: int,
         pr51 = allocation_pr51(alloc)
         if pr51 < best_pr51:
             best_alloc, best_pr51 = alloc, pr51
-        if check_feasibility(alloc, tau).feasible:
+        if check_feasibility(alloc).feasible:
             any_feasible = True
     assert best_alloc is not None
     return best_alloc, best_pr51, any_feasible
@@ -216,8 +214,7 @@ def _grid_scan(instance: ProblemInstance, sigma: int, tau: float,
             yield table, risk
 
 
-def exhaustive_search(instance: ProblemInstance, tau: float | None = None,
-                      grid_steps: int = 4) -> BaselineResult:
+def exhaustive_search(instance: ProblemInstance, grid_steps: int = 4) -> BaselineResult:
     """Largest shard count admitting a feasible grid allocation, with witness.
 
     Every user's score is split in multiples of score/grid_steps. A witness
@@ -225,14 +222,13 @@ def exhaustive_search(instance: ProblemInstance, tau: float | None = None,
     shard count. Guard rails bound the combinatorial blowup.
     """
     _grid_guard(instance, grid_steps)
-    tau_eff = instance.tau if tau is None else float(tau)
     start = time.perf_counter()
     for sigma in range(instance.s_max, 0, -1):
-        for table, _ in _grid_scan(instance, sigma, tau_eff, grid_steps):
+        for table, _ in _grid_scan(instance, sigma, instance.tau, grid_steps):
             witness = Allocation(instance, table)
             # Confirm with the shared checker so the witness contract holds
             # even on knife-edge arithmetic.
-            if not check_feasibility(witness, tau_eff).feasible:
+            if not check_feasibility(witness).feasible:
                 continue
             return BaselineResult(
                 method=BaselineMethod.EXHAUSTIVE, sigma_star=sigma,
@@ -247,13 +243,11 @@ def exhaustive_search(instance: ProblemInstance, tau: float | None = None,
 
 
 def exhaustive_best_pr51(instance: ProblemInstance, sigma: int,
-                         tau: float | None = None,
                          grid_steps: int = 4) -> tuple[Allocation, float]:
     """Grid point with the lowest worst-shard bound at a fixed shard count."""
     _grid_guard(instance, grid_steps)
     if not (1 <= sigma <= instance.s_max):
         raise InvariantViolation(f"sigma={sigma} outside [1, {instance.s_max}]")
-    tau_eff = instance.tau if tau is None else float(tau)
     best_table: np.ndarray | None = None
     best_risk = math.inf
     # Scan with tau ~ 1 so every all-active grid point streams through.
@@ -268,12 +262,11 @@ def exhaustive_best_pr51(instance: ProblemInstance, sigma: int,
 
 
 def run_baseline(instance: ProblemInstance, method: BaselineMethod,
-                 tau: float | None = None, budget: int = DEFAULT_RESTART_BUDGET,
-                 grid_steps: int = 4, seed: int = 0) -> BaselineResult:
+                 budget: int = DEFAULT_RESTART_BUDGET, grid_steps: int = 4,
+                 seed: int = 0) -> BaselineResult:
     """Largest feasible shard count for a baseline allocator, scanning S..1."""
-    tau_eff = instance.tau if tau is None else float(tau)
     if method is BaselineMethod.EXHAUSTIVE:
-        return exhaustive_search(instance, tau_eff, grid_steps)
+        return exhaustive_search(instance, grid_steps)
     start = time.perf_counter()
     samples = 0
     for sigma in range(instance.s_max, 0, -1):
@@ -282,10 +275,9 @@ def run_baseline(instance: ProblemInstance, method: BaselineMethod,
         elif method is BaselineMethod.GREEDY:
             candidate = greedy_round_robin(instance, sigma)
         else:
-            candidate, drawn = _restart_search(instance, sigma, tau_eff, budget,
-                                               seed + sigma)
+            candidate, drawn = _restart_search(instance, sigma, budget, seed + sigma)
             samples += drawn
-        if candidate is not None and check_feasibility(candidate, tau_eff).feasible:
+        if candidate is not None and check_feasibility(candidate).feasible:
             return BaselineResult(method=method, sigma_star=sigma,
                                   allocation=candidate,
                                   pr51=allocation_pr51(candidate),

@@ -17,9 +17,8 @@ from .model import (InstanceGenConfig, generate_instance, instance_stats,
                     load_instance, save_allocation_csv, save_instance)
 from .optimizer import SearchMode, optimize_sharding, save_solution
 from .selfcheck import run_invariant_suite
-from .simulator import (EpochConfig, OptimizerSettings, load_epoch_config,
-                        run_simulation, save_simulation_report,
-                        write_epoch_csv)
+from .simulator import (EpochConfig, load_epoch_config, run_simulation,
+                        save_simulation_report, write_epoch_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,9 +133,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    result = run_baseline(instance, BaselineMethod(args.method), tau=args.tau,
-                          budget=args.budget, grid_steps=args.grid_steps,
-                          seed=args.seed)
+    if args.tau is not None:
+        instance = instance.with_tau(args.tau)
+    result = run_baseline(instance, BaselineMethod(args.method), budget=args.budget,
+                          grid_steps=args.grid_steps, seed=args.seed)
     if args.output and result.allocation is not None:
         save_allocation_csv(result.allocation, args.output)
     print(f"method={result.method.value} sigma={result.sigma_star} "
@@ -157,8 +157,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                              reconfigure_every=args.reconfigure_every,
                              rng_seed=args.seed,
                              adversary_mode=args.adversary_mode)
-    report = run_simulation(instance, config,
-                            OptimizerSettings(StationarityVariant(args.variant)))
+    report = run_simulation(instance, config, StationarityVariant(args.variant))
     save_simulation_report(report, args.output)
     if args.csv:
         write_epoch_csv(report, args.csv)

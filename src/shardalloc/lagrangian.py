@@ -164,14 +164,14 @@ class P3Result:
     diagnostics: SolveDiagnostics
 
 
-def solve_p3(instance: ProblemInstance, sigma: int, tau: float | None = None,
+def solve_p3(instance: ProblemInstance, sigma: int,
              variant: StationarityVariant = StationarityVariant.REDERIVED,
              ) -> P3Result:
-    """Solve the stationarity system and reshape into an allocation."""
-    tau_eff = instance.tau if tau is None else float(tau)
+    """Solve the stationarity system at the instance's tau and reshape into an
+    allocation."""
     if sigma == 1:
-        return _solve_p3_single_shard(instance, tau_eff, variant)
-    system = assemble_system(instance, sigma, tau_eff, variant)
+        return _solve_p3_single_shard(instance, variant)
+    system = assemble_system(instance, sigma, variant=variant)
     result = solve_linear_system(system)
     n = instance.n
     table = result.solution[:sigma * n].reshape(sigma, n)
@@ -179,21 +179,19 @@ def solve_p3(instance: ProblemInstance, sigma: int, tau: float | None = None,
     diagnostics = SolveDiagnostics(residual_norm=result.residual_norm,
                                    rank_deficient=result.rank_deficient,
                                    dimension=system.dimension, variant=variant,
-                                   sigma=sigma, tau=tau_eff)
+                                   sigma=sigma, tau=instance.tau)
     return P3Result(allocation=Allocation(instance, table),
                     multipliers=multipliers, diagnostics=diagnostics)
 
 
-def _solve_p3_single_shard(instance: ProblemInstance, tau: float,
+def _solve_p3_single_shard(instance: ProblemInstance,
                            variant: StationarityVariant) -> P3Result:
     """Closed form for one shard: conservation pins the whole score vector,
     after which the stationarity rows pin the multipliers uniquely."""
-    if not (0.0 < tau < 1.0):
-        raise InvariantViolation(f"tau={tau!r} outside (0, 1)")
     eta = instance.eta
     p = instance.p_adv_array
     a_vec = 0.5 - p
-    ln_tau = math.log(tau)
+    ln_tau = math.log(instance.tau)
     margin = float(a_vec @ eta)
     if variant is StationarityVariant.REDERIVED:
         lam = 2.0 * a_vec * margin + ln_tau * eta
@@ -201,7 +199,7 @@ def _solve_p3_single_shard(instance: ProblemInstance, tau: float,
         lam = -(ln_tau * float(eta.sum()) + 2.0 * p * margin)
     diagnostics = SolveDiagnostics(residual_norm=0.0, rank_deficient=False,
                                    dimension=2 * instance.n, variant=variant,
-                                   sigma=1, tau=tau)
+                                   sigma=1, tau=instance.tau)
     return P3Result(allocation=Allocation(instance, eta.reshape(1, -1)),
                     multipliers=tuple(float(v) for v in lam),
                     diagnostics=diagnostics)
@@ -240,15 +238,13 @@ def check_feasibility(alloc: Allocation, tau: float | None = None) -> Feasibilit
                              max_conservation_error=cons_err)
 
 
-def margin_objective(instance: ProblemInstance, table: np.ndarray,
-                     tau: float | None = None) -> float:
+def margin_objective(instance: ProblemInstance, table: np.ndarray) -> float:
     """Objective whose stationary points the REDERIVED system solves.
 
     sum over shards of (squared margin + 0.5*ln(tau)*sum of squared entries);
     useful for finite-difference verification of stationarity.
     """
-    tau_eff = instance.tau if tau is None else float(tau)
     a_vec = 0.5 - instance.p_adv_array
     t_s = table @ a_vec
     q_s = (table * table).sum(axis=1)
-    return float((t_s * t_s).sum() + 0.5 * math.log(tau_eff) * q_s.sum())
+    return float((t_s * t_s).sum() + 0.5 * math.log(instance.tau) * q_s.sum())

@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .bounds import safety_holds, shard_stats
-from .lagrangian import (FeasibilityReport, StationarityVariant, check_feasibility,
-                         solve_p3)
-from .model import Allocation, CONSERVATION_RTOL, ProblemInstance
+from .lagrangian import StationarityVariant, check_feasibility, solve_p3
+from .model import Allocation, ProblemInstance
 
 
 class SearchMode(enum.Enum):
@@ -73,11 +72,6 @@ class ShardingSolution:
     notes: tuple[str, ...] = ()
 
 
-def _single_shard_allocation(instance: ProblemInstance) -> Allocation:
-    # Conservation alone pins the sigma=1 allocation; no solve needed.
-    return Allocation(instance, instance.eta.reshape(1, -1))
-
-
 def _bounds_of(alloc: Allocation) -> tuple[float, ...]:
     _, _, bound, active = shard_stats(alloc.table, alloc.instance.p_adv_array)
     return tuple(bound[active].tolist())
@@ -85,77 +79,61 @@ def _bounds_of(alloc: Allocation) -> tuple[float, ...]:
 
 def optimize_sharding(instance: ProblemInstance,
                       variant: StationarityVariant = StationarityVariant.REDERIVED,
-                      search_mode: SearchMode = SearchMode.BINARY,
-                      tau: float | None = None) -> ShardingSolution:
-    """Find the largest shard count whose solved allocation is feasible."""
-    tau_eff = instance.tau if tau is None else float(tau)
+                      search_mode: SearchMode = SearchMode.BINARY) -> ShardingSolution:
+    """Find the largest shard count whose solved allocation is feasible at the
+    instance's tau."""
     s_max = instance.s_max
     start = time.perf_counter()
     solves = 0
     notes: list[str] = []
-    best: tuple[int, Allocation, FeasibilityReport] | None = None
+    # The largest feasible shard count seen and its allocation.
+    best: tuple[int, Allocation] | None = None
 
-    def attempt(sigma: int) -> tuple[Allocation, FeasibilityReport]:
-        nonlocal solves
-        result = solve_p3(instance, sigma, tau_eff, variant)
+    def feasible_at(sigma: int) -> bool:
+        nonlocal solves, best
+        result = solve_p3(instance, sigma, variant=variant)
         solves += 1
-        report = check_feasibility(result.allocation, tau_eff)
+        feasible = check_feasibility(result.allocation).feasible
         if result.diagnostics.rank_deficient:
             notes.append(f"sigma={sigma}: rank-deficient system, minimum-norm solution")
-        return result.allocation, report
+        if feasible and (best is None or sigma > best[0]):
+            best = (sigma, result.allocation)
+        return feasible
 
-    if s_max >= 2:
-        alloc, report = attempt(s_max)
-        if report.feasible:
-            best = (s_max, alloc, report)
-        elif search_mode is SearchMode.BINARY:
-            if s_max >= 3:
-                high, low = s_max - 1, 2
-                sigma_p = math.ceil((high + low) / 2)
-                while True:
-                    alloc, report = attempt(sigma_p)
-                    if report.feasible:
-                        if best is None or sigma_p > best[0]:
-                            best = (sigma_p, alloc, report)
-                        low = sigma_p
-                    else:
-                        high = sigma_p
-                    sigma_p = math.ceil((high + low) / 2)
-                    if sigma_p == high:
-                        break
-        else:
+    if s_max >= 2 and not feasible_at(s_max):
+        if search_mode is SearchMode.LINEAR_SCAN:
             for sigma in range(s_max - 1, 1, -1):
-                alloc, report = attempt(sigma)
-                if report.feasible:
-                    best = (sigma, alloc, report)
+                if feasible_at(sigma):
+                    break
+        elif s_max >= 3:
+            high, low = s_max - 1, 2
+            sigma_p = math.ceil((high + low) / 2)
+            while True:
+                if feasible_at(sigma_p):
+                    low = sigma_p
+                else:
+                    high = sigma_p
+                sigma_p = math.ceil((high + low) / 2)
+                if sigma_p == high:
                     break
 
-    if best is not None:
-        sigma_star, alloc, _ = best
-        shard_bounds = _bounds_of(alloc)
-        return ShardingSolution(
-            status=SolutionStatus.SHARDED, sigma_star=sigma_star, allocation=alloc,
-            x=derive_x(sigma_star, s_max),
-            throughput=throughput(sigma_star, instance.t_per_shard),
-            pr51=max(shard_bounds), per_shard_bounds=shard_bounds,
-            solves_performed=solves, wall_time_s=time.perf_counter() - start,
-            variant=variant, search_mode=search_mode, notes=tuple(notes))
-
-    single = _single_shard_allocation(instance)
-    single_report = check_feasibility(single, tau_eff)
-    single_bounds = _bounds_of(single)
-    if single_report.feasible:
-        return ShardingSolution(
-            status=SolutionStatus.UNSHARDED_SAFE, sigma_star=1, allocation=single,
-            x=derive_x(1, s_max), throughput=throughput(1, instance.t_per_shard),
-            pr51=max(single_bounds), per_shard_bounds=single_bounds,
-            solves_performed=solves, wall_time_s=time.perf_counter() - start,
-            variant=variant, search_mode=search_mode, notes=tuple(notes))
-    notes.append("single-shard configuration already exceeds the safety threshold")
+    if best is None:
+        # Conservation alone pins the sigma=1 allocation; no solve needed.
+        # When it is unsafe (sigma* = 0) its bounds are still the ones reported.
+        single = Allocation(instance, instance.eta.reshape(1, -1))
+        best = (1 if check_feasibility(single).feasible else 0, single)
+    sigma_star, judged = best
+    if sigma_star == 0:
+        notes.append("single-shard configuration already exceeds the safety threshold")
+    shard_bounds = _bounds_of(judged)
+    status = (SolutionStatus.SHARDED if sigma_star > 1 else
+              SolutionStatus.UNSHARDED_SAFE if sigma_star == 1 else
+              SolutionStatus.UNSAFE)
     return ShardingSolution(
-        status=SolutionStatus.UNSAFE, sigma_star=0, allocation=None,
-        x=derive_x(0, s_max), throughput=0.0,
-        pr51=max(single_bounds), per_shard_bounds=single_bounds,
+        status=status, sigma_star=sigma_star,
+        allocation=judged if sigma_star else None, x=derive_x(sigma_star, s_max),
+        throughput=throughput(sigma_star, instance.t_per_shard),
+        pr51=max(shard_bounds), per_shard_bounds=shard_bounds,
         solves_performed=solves, wall_time_s=time.perf_counter() - start,
         variant=variant, search_mode=search_mode, notes=tuple(notes))
 
@@ -165,8 +143,8 @@ def solve_budget(s_max: int) -> int:
     return math.ceil(math.log2(max(2, s_max))) + 2
 
 
-def verify_full_constraints(solution: ShardingSolution, instance: ProblemInstance,
-                            tau: float | None = None) -> bool:
+def verify_full_constraints(solution: ShardingSolution,
+                            instance: ProblemInstance) -> bool:
     """Check a sharded solution against the complete original constraint set.
 
     Pads the allocation with zero rows up to S, then verifies the per-shard
@@ -175,21 +153,17 @@ def verify_full_constraints(solution: ShardingSolution, instance: ProblemInstanc
     """
     if solution.status is not SolutionStatus.SHARDED or solution.allocation is None:
         raise InvariantViolation("full-constraint check applies to sharded solutions")
-    tau_eff = instance.tau if tau is None else float(tau)
     s_max = instance.s_max
     sigma = solution.sigma_star
     table = np.zeros((s_max, instance.n))
     table[:sigma] = solution.allocation.table
     t, q, _, _ = shard_stats(table, instance.p_adv_array)
-    if not safety_holds(t, q, tau_eff).all():
+    if not safety_holds(t, q, instance.tau).all():
         return False
     for s, x_s in enumerate(solution.x, start=1):
         if not ((sigma - s + 1) / s_max <= x_s <= max(0, sigma - s + 1)):
             return False
-    eta = instance.eta
-    if float(np.max(np.abs(table.sum(axis=0) - eta) / eta)) > CONSERVATION_RTOL:
-        return False
-    return True
+    return Allocation(instance, table).conservation_ok
 
 
 def solution_to_dict(solution: ShardingSolution,

@@ -5,7 +5,7 @@ activate, the allocator reconfigures the shards on a schedule (corrupted users
 keep their scores but are treated as near-certainly adversarial), one leader
 per shard is elected per slot from a hash-chain seed, and the adversary's
 score share of every shard is recorded. The whole run is a pure function of
-the instance, the epoch configuration, and the optimizer settings.
+the instance, the epoch configuration, and the stationarity variant.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from .errors import EmptyShardError, InvariantViolation
 from .baselines import uniform_split
 from .model import Allocation, ProblemInstance, json_dataclass, read_json_object
-from .optimizer import (SearchMode, ShardingSolution, SolutionStatus,
-                        StationarityVariant, optimize_sharding)
+from .optimizer import (ShardingSolution, SolutionStatus, StationarityVariant,
+                        optimize_sharding)
 
 # Largest representable adversarial probability: corrupted users count toward
 # the adversary with certainty, but the margin machinery needs p < 0.5.
@@ -74,12 +74,6 @@ def epoch_config_from_dict(data: dict) -> EpochConfig:
 
 def load_epoch_config(path: str | Path) -> EpochConfig:
     return epoch_config_from_dict(read_json_object(path, "simulation config"))
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    variant: StationarityVariant = StationarityVariant.REDERIVED
-    search_mode: SearchMode = SearchMode.BINARY
 
 
 @dataclass
@@ -239,10 +233,11 @@ def _lotteries(allocation: Allocation, mu_ids: Sequence[int]
 
 
 def run_simulation(instance: ProblemInstance, config: EpochConfig,
-                   settings: OptimizerSettings = OptimizerSettings(),
+                   variant: StationarityVariant = StationarityVariant.REDERIVED,
                    ) -> SimulationReport:
     """Drive the epoch loop; abort with a state dump if reconfiguration ever
-    finds the network unsafe even as a single shard.
+    finds the network unsafe even as a single shard. Reconfiguration runs the
+    binary sigma search with the given stationarity variant.
 
     Each distinct corrupted set is solved once per call: a later reconfiguration
     with the same set reuses that solution, which a recomputation would
@@ -277,8 +272,7 @@ def run_simulation(instance: ProblemInstance, config: EpochConfig,
             solution = solutions.get(key)
             if solution is None:
                 solution = solutions[key] = optimize_sharding(
-                    _corruption_view(instance, state.corrupted),
-                    settings.variant, settings.search_mode)
+                    _corruption_view(instance, state.corrupted), variant)
             if solution.status is SolutionStatus.UNSAFE:
                 aborted = True
                 abort_epoch = epoch

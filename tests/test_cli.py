@@ -5,7 +5,7 @@ import json
 import pytest
 
 from shardalloc.cli import cli_dispatch
-from shardalloc.model import load_instance
+from shardalloc.model import load_instance, save_instance
 
 
 @pytest.fixture
@@ -62,6 +62,28 @@ class TestBaseline:
         # 50 users far exceeds the enumeration guard.
         assert cli_dispatch(["baseline", str(instance_file), "--method",
                              "exhaustive"]) == 2
+
+
+    @pytest.mark.parametrize("method",
+                             ["uniform", "greedy", "random_restart", "exhaustive"])
+    def test_tau_flag_matches_saved_tau(self, tmp_path, capsys, method):
+        inst = tmp_path / "tiny.json"
+        assert cli_dispatch(["gen", "--nodes", "4", "--mean", "36.8", "--std", "6.7",
+                             "--max-diff", "80.4", "--s-max", "3", "--seed", "5",
+                             "-o", str(inst)]) == 0
+        saved = tmp_path / "tiny_tau.json"
+        save_instance(load_instance(inst).with_tau(0.5), saved)
+        outputs = []
+        for path, flags in ((inst, ["--tau", "0.5"]), (saved, []), (inst, [])):
+            capsys.readouterr()
+            csv = tmp_path / f"alloc{len(outputs)}.csv"
+            assert cli_dispatch(["baseline", str(path), "--method", method,
+                                 *flags, "-o", str(csv)]) == 0
+            outputs.append((capsys.readouterr(),
+                            csv.read_bytes() if csv.exists() else None))
+        flag, same_tau, own_tau = outputs
+        assert flag == same_tau
+        assert flag != own_tau  # the instance's own tau 1e-3 is unsafe
 
 
 class TestSimulate:

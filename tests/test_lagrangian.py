@@ -170,6 +170,15 @@ class TestFeasibility:
         report = check_feasibility(Allocation(safe_instance, table))
         assert not report.conservation_ok and not report.feasible
 
+    def test_conservation_error_of_one_in_a_million_rejected(self, safe_instance):
+        # Scaling every entry keeps each shard's safety verdict; only
+        # conservation breaks, by a relative 1e-6.
+        table = uniform_split(safe_instance, 10).table * (1 + 1e-6)
+        report = check_feasibility(Allocation(safe_instance, table))
+        assert report.sign_ok and all(rep.safe for rep in report.per_shard)
+        assert report.max_conservation_error == pytest.approx(1e-6)
+        assert not report.conservation_ok and not report.feasible
+
     def test_agrees_with_shard_reports(self):
         rng = np.random.default_rng(31)
         inst = random_instance(rng, 15, tau=0.05)

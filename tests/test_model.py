@@ -181,6 +181,14 @@ class TestAllocation:
         alloc2 = Allocation(small_instance, bad)
         assert not alloc2.conservation_ok
 
+    def test_sign_tolerance_is_solver_noise_only(self, small_instance):
+        # Negatives down to -1e-12 count as noise; -1e-11 is a real negative.
+        table = np.tile(small_instance.eta / 2, (2, 1))
+        for entry, ok in ((-1e-13, True), (-1e-11, False)):
+            noisy = table.copy()
+            noisy[0, 0] = entry
+            assert Allocation(small_instance, noisy).sign_ok is ok
+
     def test_csv_roundtrip(self, tmp_path, small_instance):
         table = np.array([[1.0, 2.0, 3.0, 4.0], [9.0, 8.0, 7.0, 6.0]])
         alloc = Allocation(small_instance, table)

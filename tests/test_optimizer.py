@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from shardalloc.errors import InvariantViolation
 from shardalloc.lagrangian import StationarityVariant, check_feasibility
+from shardalloc.model import Allocation
 from shardalloc.optimizer import (SearchMode, SolutionStatus, derive_x,
                                   optimize_sharding, save_solution,
                                   solve_budget, throughput,
@@ -55,6 +57,14 @@ class TestVerifyFullConstraints:
         sol = optimize_sharding(inst, variant)
         if sol.status is SolutionStatus.SHARDED:
             assert verify_full_constraints(sol, inst)
+
+    def test_conservation_error_of_one_in_a_million_fails(self, safe_instance):
+        sol = optimize_sharding(safe_instance)
+        assert verify_full_constraints(sol, safe_instance)
+        # Scaling keeps every shard safe; only conservation breaks.
+        scaled = Allocation(safe_instance, sol.allocation.table * (1 + 1e-6))
+        assert not verify_full_constraints(replace(sol, allocation=scaled),
+                                           safe_instance)
 
 
 class TestOptimize:
@@ -166,6 +176,38 @@ class TestOptimize:
         sol0 = run(0)                     # nothing feasible at all
         assert sol0.status is SolutionStatus.UNSAFE
         assert sol0.solves_performed == 4  # sigma = 10, 6, 4, 3
+
+    def test_linear_scan_trace_against_synthetic_feasibility(self, monkeypatch):
+        # Feasible iff sigma <= k: the scan walks down from S and stops at the
+        # first feasible sigma, so every interior k is found after S-k+1 solves.
+        import types
+        import shardalloc.optimizer as opt
+        from shardalloc.baselines import uniform_split as real_uniform
+
+        inst = equal_score_instance(6, s_max=10)
+
+        def run(k):
+            def fake_solve_p3(instance, sigma, variant=None):
+                return types.SimpleNamespace(
+                    allocation=real_uniform(instance, sigma),
+                    diagnostics=types.SimpleNamespace(rank_deficient=False))
+
+            def fake_check(alloc):
+                return types.SimpleNamespace(feasible=alloc.sigma <= k)
+
+            monkeypatch.setattr(opt, "solve_p3", fake_solve_p3)
+            monkeypatch.setattr(opt, "check_feasibility", fake_check)
+            return opt.optimize_sharding(inst, search_mode=SearchMode.LINEAR_SCAN)
+
+        for k in range(2, 11):
+            sol = run(k)
+            assert sol.status is SolutionStatus.SHARDED
+            assert (sol.sigma_star, sol.solves_performed) == (k, 11 - k)
+            assert sol.allocation.sigma == k
+        sol1 = run(1)                     # sigma = 10..2 all solved, none feasible
+        assert sol1.status is SolutionStatus.UNSHARDED_SAFE
+        assert sol1.solves_performed == 9
+        assert run(0).status is SolutionStatus.UNSAFE
 
     def test_solution_json(self, tmp_path, safe_instance):
         sol = optimize_sharding(safe_instance)

@@ -19,6 +19,9 @@ relative paths, so the captured stdout and stderr compare too. What is written:
   each directory's ``revalidate_results`` list;
 - 16 ``solve`` JSONs without ``wall_time_ms`` (N=40 and 60, S=20, tau 1e-3
   and 1e-30, both variants, both search modes) and their allocation CSVs;
+- 8 ``baseline`` allocation CSVs on an N=4, S=3 instance: all four methods at
+  the instance's tau and with ``--tau 0.5``, plus one ``--tau 1.5`` run whose
+  error message is logged;
 - 16 ``simulate`` reports with their epoch CSVs: one from a config file, one
   from flags, twelve on an N=30, tau=0.05 instance that stays safe (both
   variants, each adversary mode, reconfiguring every epoch and every fifth,
@@ -124,6 +127,16 @@ def main(argv: list[str]) -> int:
                         solution = json.loads(path.read_text())
                         solution.pop("wall_time_ms", None)
                         path.write_text(json.dumps(solution, indent=2) + "\n")
+
+    Path("baseline").mkdir()
+    run("gen", "--nodes", "4", "--mean", "36.8", "--std", "6.7", "--max-diff", "80.4",
+        "--tau", "0.3", "--s-max", "3", "--seed", "5", "-o", "baseline/inst.json")
+    for method in ("uniform", "greedy", "random_restart", "exhaustive"):
+        run("baseline", "baseline/inst.json", "--method", method,
+            "-o", f"baseline/{method}.csv")
+        run("baseline", "baseline/inst.json", "--method", method, "--tau", "0.5",
+            "-o", f"baseline/{method}_tau0.5.csv")
+    run("baseline", "baseline/inst.json", "--method", "exhaustive", "--tau", "1.5")
 
     Path("simulate").mkdir()
     run("gen", "--nodes", "30", "--mean", "36.8", "--std", "6.7", "--max-diff", "80.4",
